@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .clifford import (AutomorphismGate, CXGate, FourierGate, Gate, PauliGate,
                        QuadraticGate)
-from .errors import PreconditionFailedError
+from .errors import IncompleteTableError, PreconditionFailedError
 from .forms import Character, QuadraticForm, fit_quadratic_table
 from .groups import Group, GroupElement, HomMatrix, parse_group, product_group
 from .pauli import PauliOperator, PauliVector
@@ -73,12 +73,16 @@ class Circuit:
     ops: tuple[Op, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("a circuit needs at least one qudit")
         written: set[str] = set()
         prepared: set[int] = set()
         touched: set[int] = set()
         for op in self.ops:
             if isinstance(op, GateOp):
                 self._check_slots(op.slots)
+                if isinstance(op.gate, CXGate) and len(op.slots) != 2:
+                    raise ValueError(f"a cx gate acts on 2 slots, not {len(op.slots)}")
                 touched.update(op.slots)
             elif isinstance(op, MeasureOp):
                 self._check_slots(op.slots)
@@ -178,8 +182,12 @@ def encode_phase_table(table: dict) -> list:
 
 def decode_phase_table(base: Group, data) -> dict:
     out = {}
-    for residues, text in data:
-        out[base.element(tuple(residues))] = Phase.parse(text)
+    for entry in _list(data, "phase table"):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise ValueError(f"phase table entry {entry!r} is not a [residues, phase] pair")
+        residues, text = entry
+        out[base.element(_ints(residues, "phase table residues"))] = \
+            _phase(text, "phase table phase")
     return out
 
 
@@ -246,26 +254,28 @@ def gate_to_json(gate: Gate) -> dict:
 
 
 def gate_from_json(data: dict, group: Group) -> Gate:
-    kind = data.get("kind")
+    kind = _object(data, "gate").get("kind")
     if kind == "automorphism":
-        return AutomorphismGate(HomMatrix(group, group,
-                                          tuple(tuple(r) for r in data["matrix"])))
+        return AutomorphismGate(HomMatrix(group, group, _int_rows(data["matrix"], "matrix")))
     if kind == "quadratic":
         n = group.num_factors
         cross = [[0] * n for _ in range(n)]
-        for i, j, c in data.get("cross", []):
+        for entry in _int_rows(data.get("cross", []), "cross"):
+            if len(entry) != 3 or not 0 <= entry[0] < entry[1] < n:
+                raise ValueError(f"cross entry {list(entry)} is not [i, j, c] "
+                                 f"with 0 <= i < j < {n}")
+            i, j, c = entry
             cross[i][j] = c
-        return QuadraticGate(QuadraticForm(group, tuple(data["diag"]),
+        return QuadraticGate(QuadraticForm(group, _ints(data["diag"], "diag"),
                                            tuple(tuple(r) for r in cross),
-                                           tuple(data["linear"])))
+                                           _ints(data["linear"], "linear")))
     if kind == "fourier":
-        return FourierGate(HomMatrix(group, group,
-                                     tuple(tuple(r) for r in data["matrix"])),
+        return FourierGate(HomMatrix(group, group, _int_rows(data["matrix"], "matrix")),
                            bool(data.get("dagger", False)))
     if kind == "pauli":
-        return PauliGate(PauliOperator(group, Phase.parse(data["phase"]),
-                                       GroupElement(group, tuple(data["x"])),
-                                       Character(group, tuple(data["z"]))))
+        return PauliGate(PauliOperator(group, _phase(data["phase"], "phase"),
+                                       GroupElement(group, _ints(data["x"], "x")),
+                                       Character(group, _ints(data["z"], "z"))))
     if kind == "cx":
         return CXGate(bool(data.get("dagger", False)))
     raise ValueError(f"unknown gate kind {kind!r}")
@@ -295,25 +305,29 @@ def op_to_json(op: Op) -> dict:
     raise TypeError(f"unknown op {op!r}")
 
 
+def _table_from_json(data, base: Group) -> tuple:
+    if len(decode_phase_table(base, data)) != base.order:
+        raise IncompleteTableError("a phase table must cover the base group")
+    return tuple(tuple(e) for e in data)
+
+
 def op_from_json(data: dict, base: Group) -> Op:
-    kind = data.get("op")
+    kind = _object(data, "operation").get("op")
     if kind == "gate":
-        slots = tuple(data["slots"])
+        slots = _ints(data["slots"], "slots")
         local = _slot_group(base, len(slots))
         return GateOp(gate_from_json(data["gate"], local), slots)
     if kind == "measure":
-        return MeasureOp(data["register"], tuple(data["slots"]),
-                         tuple(data["x"]), tuple(data["z"]))
+        return MeasureOp(_str(data["register"], "register"), _ints(data["slots"], "slots"),
+                         _ints(data["x"], "x"), _ints(data["z"], "z"))
     if kind == "correct":
         table = data.get("table")
-        return CorrectionOp(data["builtin"], tuple(data["args"]),
-                            tuple(data["slots"]),
-                            tuple(tuple(e) if isinstance(e, list) else e
-                                  for e in table) if table is not None else None)
+        return CorrectionOp(_str(data["builtin"], "builtin"),
+                            tuple(_str(a, "args") for a in _list(data["args"], "args")),
+                            _ints(data["slots"], "slots"),
+                            _table_from_json(table, base) if table is not None else None)
     if kind == "prepare_magic":
-        return MagicPrepOp(data["slot"],
-                           tuple(tuple(e) if isinstance(e, list) else e
-                                 for e in data["table"]))
+        return MagicPrepOp(_int(data["slot"], "slot"), _table_from_json(data["table"], base))
     raise ValueError(f"unknown op {kind!r}")
 
 
@@ -332,9 +346,9 @@ def circuit_to_json(circuit: Circuit) -> dict:
 
 def circuit_from_json(data: dict) -> Circuit:
     _expect(data, "circuit")
-    base = parse_group(data["group"])
-    n = int(data["qudits"])
-    ops = tuple(op_from_json(o, base) for o in data["operations"])
+    base = _group(data)
+    n = _int(data["qudits"], "qudits")
+    ops = tuple(op_from_json(o, base) for o in _list(data["operations"], "operations"))
     return Circuit(base, n, ops)
 
 
@@ -349,8 +363,8 @@ def sequence_to_json(gates, group: Group) -> dict:
 
 def sequence_from_json(data: dict):
     _expect(data, "gate_sequence")
-    group = parse_group(data["group"])
-    return [gate_from_json(g, group) for g in data["gates"]], group
+    group = _group(data)
+    return [gate_from_json(g, group) for g in _list(data["gates"], "gates")], group
 
 
 def symplectic_to_json(group: Group, entries, convention: str = "natural") -> dict:
@@ -373,9 +387,12 @@ def symplectic_from_json(data: dict):
     from .symplectic import SymplecticMap
     from .clifford import doubled_group
     _expect(data, "symplectic_map")
-    group = parse_group(data["group"])
+    group = _group(data)
     orders = group.orders + group.orders
-    mat = [list(r) for r in data["matrix"]]
+    mat = [list(r) for r in _int_rows(data["matrix"], "matrix")]
+    if len(mat) != len(orders) or any(len(r) != len(orders) for r in mat):
+        raise ValueError(f"a symplectic map over {group.literal()} is a "
+                         f"{len(orders)}x{len(orders)} matrix")
     convention = data.get("convention", "natural")
     if convention == "embedded":
         mat = matrix_embedded_to_natural(orders, mat)
@@ -401,20 +418,67 @@ def tableau_to_json(tableau) -> dict:
 def tableau_from_json(data: dict):
     from .clifford import CliffordTableau
     _expect(data, "clifford_tableau")
-    group = parse_group(data["group"])
+    group = _group(data)
 
     def pauli(d):
-        return PauliOperator(group, Phase.parse(d["phase"]),
-                             GroupElement(group, tuple(d["x"])),
-                             Character(group, tuple(d["z"])))
+        d = _object(d, "Pauli image")
+        return PauliOperator(group, _phase(d["phase"], "phase"),
+                             GroupElement(group, _ints(d["x"], "x")),
+                             Character(group, _ints(d["z"], "z")))
 
     return CliffordTableau(group,
-                           tuple(pauli(d) for d in data["x_images"]),
-                           tuple(pauli(d) for d in data["z_images"]))
+                           tuple(pauli(d) for d in _list(data["x_images"], "x_images")),
+                           tuple(pauli(d) for d in _list(data["z_images"], "z_images")))
+
+
+# ---------------------------------------------------------------------------
+# payload checks: a malformed document raises ValueError, never TypeError
+
+def _object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
+    return data
+
+
+def _list(value, what: str):
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list, not {type(value).__name__}")
+    return value
+
+
+def _int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{what} entries must be integers, not {value!r}")
+    return value
+
+
+def _ints(value, what: str) -> tuple[int, ...]:
+    return tuple(_int(v, what) for v in _list(value, what))
+
+
+def _int_rows(value, what: str) -> tuple[tuple[int, ...], ...]:
+    return tuple(_ints(row, what) for row in _list(value, what))
+
+
+def _str(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, not {value!r}")
+    return value
+
+
+def _phase(value, what: str) -> Phase:
+    try:
+        return Phase.parse(_str(value, what))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"{what} {value!r} has a zero denominator") from exc
+
+
+def _group(data: dict) -> Group:
+    return parse_group(_str(data["group"], "group"))
 
 
 def _expect(data: dict, typ: str) -> None:
-    if data.get("type") != typ:
+    if _object(data, "document").get("type") != typ:
         raise ValueError(f"document is not a {typ!r}")
     if data.get("format_version") != FORMAT_VERSION:
         raise ValueError("unsupported format_version")

@@ -39,7 +39,7 @@ def _emit(doc: dict, out_path, stream) -> None:
 
 def cmd_decompose(args, stdout) -> int:
     doc = cio.load_document(args.input)
-    kind = doc.get("type")
+    kind = doc.get("type") if isinstance(doc, dict) else type(doc).__name__
     if kind == "symplectic_map":
         sigma = cio.symplectic_from_json(doc)
         group = sigma.group
@@ -161,7 +161,7 @@ def cmd_protocol(args, stdout) -> int:
     elif args.name == "magic":
         if args.table:
             doc = cio.load_document(args.table)
-            if doc.get("type") != "phase_table":
+            if not isinstance(doc, dict) or doc.get("type") != "phase_table":
                 raise ValueError("--table must be a phase_table document")
             table = cio.decode_phase_table(group, doc["table"])
         elif group.orders == (2,):

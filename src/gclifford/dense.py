@@ -1,15 +1,22 @@
-"""Dense (state-vector) backend: exact definitional matrices for every
-gate, projective measurement, and full branch enumeration.
+"""Dense (state-vector) backend: exact definitional gate actions,
+projective measurement, and full branch enumeration.
 
 This backend is the desk-scale oracle: every symbolic identity in the
 package is checked against it at small dimensions.  States are numpy
 complex vectors indexed by residue tuples in mixed radix, first factor
 most significant.
+
+Automorphism, CX, quadratic and Pauli gates are a permutation times a
+phase diagonal, U|g> = w^e[g] |rows[g]> with w = exp(2*pi*i/D).  Their
+row maps and integer phase exponents e (mod D) come straight from the
+residue table of the gate's group, and ``apply_gate`` applies them as
+an index gather on the gate's own axes.  Floats appear only when the
+exponents are turned into roots of unity.  The Fourier gate is the only
+one applied as a matrix contraction.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -17,11 +24,10 @@ import numpy as np
 
 from .clifford import (AutomorphismGate, CXGate, CliffordTableau, FourierGate,
                        Gate, PauliGate, QuadraticGate, cx_matrix)
-from .errors import ResourceCapError
-from .forms import Character
-from .groups import Group, GroupElement, product_group
+from .errors import GroupMismatchError, NotInvertibleError, ResourceCapError
+from .forms import Character, QuadraticForm
+from .groups import Group, GroupElement, HomMatrix, product_group
 from .pauli import PauliOperator, PauliVector
-from .phases import Phase
 
 DEFAULT_DENSE_CAP = 4096
 
@@ -31,14 +37,6 @@ def element_index(group: Group, residues) -> int:
     for r, q in zip(residues, group.orders):
         idx = idx * q + (r % q)
     return idx
-
-
-def index_residues(group: Group, idx: int) -> tuple[int, ...]:
-    out = []
-    for q in reversed(group.orders):
-        out.append(idx % q)
-        idx //= q
-    return tuple(reversed(out))
 
 
 def _check_cap(dim: int, cap: int) -> None:
@@ -52,24 +50,12 @@ def basis_state(group: Group, residues) -> np.ndarray:
     return state
 
 
-def pauli_matrix(p: PauliOperator, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    group = p.group
-    dim = group.order
-    _check_cap(dim, cap)
-    mat = np.zeros((dim, dim), dtype=complex)
-    w = p.phase.to_complex()
-    for h in group.elements():
-        col = element_index(group, h.residues)
-        row = element_index(group, (p.x + h).residues)
-        mat[row, col] = w * p.z.eval(h).to_complex()
-    return mat
-
-
 _GROUP_TABLES: dict = {}
 
 
 def _group_tables(group: Group):
-    """Cached (residues, strides, orders) arrays for vectorized Pauli action."""
+    """Cached (residues, strides, orders) arrays: row g of ``residues`` is
+    the residue tuple of basis index g."""
     key = group.orders
     hit = _GROUP_TABLES.get(key)
     if hit is not None:
@@ -90,71 +76,124 @@ def _group_tables(group: Group):
     return result
 
 
+def _roots(expo: np.ndarray, den: int) -> np.ndarray:
+    """exp(2*pi*i*expo/den) for an integer exponent array."""
+    return np.exp(2j * np.pi * ((expo % den) / den))
+
+
+def _hom_rows(matrix: HomMatrix, group: Group) -> np.ndarray:
+    """Basis index of matrix(g) for every basis index g; raises
+    NotInvertibleError, with a kernel witness, unless that is a permutation."""
+    residues, strides, orders = _group_tables(group)
+    tau = np.array(matrix.entries, dtype=np.int64)
+    rows = (residues @ tau.T % orders) @ strides
+    kernel = np.flatnonzero(rows == 0)
+    if len(kernel) > 1:
+        raise NotInvertibleError(
+            f"{matrix!r} is not invertible",
+            witness=tuple(int(r) for r in residues[kernel[1]]))
+    return rows
+
+
+def _pauli_action(p: PauliOperator, group: Group):
+    """(rows, expo, den) with p|h> = exp(2*pi*i*expo[h]/den) |rows[h]>."""
+    residues, strides, orders = _group_tables(group)
+    den = math.lcm(*group.orders, p.phase.den)
+    rows = ((residues + np.array(p.x.residues, dtype=np.int64)) % orders) @ strides
+    zco = np.array(p.z.residues, dtype=np.int64) * (den // orders)
+    return rows, residues @ zco + p.phase.num * (den // p.phase.den), den
+
+
+def _quadratic_expo(form: QuadraticForm, group: Group):
+    """(expo, den) with form(g) = expo[g]/den mod 1, den = 2*lcm(q)."""
+    residues, _strides, orders = _group_tables(group)
+    q = group.orders
+    den = 2 * math.lcm(*q)
+    diag = np.array(form.diag, dtype=np.int64) * (den // (2 * orders))
+    linear = np.array(form.linear, dtype=np.int64) * (den // orders)
+    cross = np.array([[c * (den // math.gcd(q[i], q[j])) for j, c in enumerate(row)]
+                      for i, row in enumerate(form.cross)], dtype=np.int64)
+    expo = (residues * residues) @ diag + residues @ linear
+    return expo + ((residues @ cross) * residues).sum(axis=1), den
+
+
+def _gate_action(gate: Gate, group: Group):
+    """(rows, phase) with U|g> = phase[g] |rows[g]> for every gate kind but
+    Fourier; ``phase`` is None for a pure permutation."""
+    if gate.group is not None and gate.group != group:
+        raise GroupMismatchError(f"gate over {gate.group!r} applied over {group!r}")
+    if isinstance(gate, CXGate):
+        base = Group(group.orders[:group.num_factors // 2])
+        return _hom_rows(cx_matrix(base, gate.dagger), group), None
+    if isinstance(gate, AutomorphismGate):
+        return _hom_rows(gate.tau, group), None
+    if isinstance(gate, QuadraticGate):
+        expo, den = _quadratic_expo(gate.form, group)
+        return np.arange(group.order), _roots(expo, den)
+    if isinstance(gate, PauliGate):
+        rows, expo, den = _pauli_action(gate.op, group)
+        return rows, _roots(expo, den)
+    raise TypeError(f"unknown gate {gate!r}")
+
+
+def _fourier_matrix(gate: FourierGate, group: Group) -> np.ndarray:
+    """F|g> = |G|^-1/2 sum_chi conj(chi(g)) |M chi>, from the character
+    table e[chi, g] = sum_i chi_i g_i / q_i (integer numerators mod den)."""
+    if gate.group != group:
+        raise GroupMismatchError(f"gate over {gate.group!r} applied over {group!r}")
+    residues, _strides, orders = _group_tables(group)
+    den = math.lcm(*group.orders)
+    table = (residues * (den // orders)) @ residues.T
+    mat = np.empty((group.order, group.order), dtype=complex)
+    mat[_hom_rows(gate.matrix, group)] = _roots(-table, den) / math.sqrt(group.order)
+    return mat.conj().T if gate.dagger else mat
+
+
+def pauli_matrix(p: PauliOperator, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+    return gate_matrix(PauliGate(p), p.group, cap)
+
+
 def pauli_apply(p: PauliOperator, state: np.ndarray) -> np.ndarray:
     """Apply a Pauli over the state's full group without materialising it."""
-    group = p.group
-    residues, strides, orders = _group_tables(group)
-    den = math.lcm(*group.orders)
-    xv = np.array(p.x.residues, dtype=np.int64)
-    perm = ((residues + xv) % orders) @ strides
-    zco = np.array([z * (den // q) for z, q in zip(p.z.residues, group.orders)],
-                   dtype=np.int64)
-    expo = (residues @ zco) % den
-    phases = np.exp(2j * np.pi * (expo / den)) * p.phase.to_complex()
+    rows, expo, den = _pauli_action(p, p.group)
     out = np.zeros_like(state)
-    out[perm] = phases * state
+    out[rows] = _roots(expo, den) * state
     return out
 
 
 def gate_matrix(gate: Gate, group: Group, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     """The unitary of a gate over ``group`` (for CX, ``group`` is the
-    two-slot product), straight from the definitional formulas."""
-    dim = group.order
-    _check_cap(dim, cap)
-    if isinstance(gate, AutomorphismGate):
-        mat = np.zeros((dim, dim), dtype=complex)
-        for g in group.elements():
-            mat[element_index(group, gate.tau.apply(g).residues),
-                element_index(group, g.residues)] = 1.0
-        return mat
-    if isinstance(gate, QuadraticGate):
-        diag = np.array([gate.form.eval(g).to_complex() for g in group.elements()])
-        return np.diag(diag)
+    two-slot product), materialized from the action ``apply_gate`` uses."""
+    _check_cap(group.order, cap)
     if isinstance(gate, FourierGate):
-        mat = np.zeros((dim, dim), dtype=complex)
-        scale = 1.0 / math.sqrt(dim)
-        for g in group.elements():
-            col = element_index(group, g.residues)
-            for chi_el in group.elements():
-                chi = Character(group, chi_el.residues)
-                row = element_index(group, gate.matrix.apply(chi_el).residues)
-                mat[row, col] += scale * (-chi.eval(g)).to_complex()
-        return mat.conj().T if gate.dagger else mat
-    if isinstance(gate, PauliGate):
-        return pauli_matrix(gate.op, cap)
-    if isinstance(gate, CXGate):
-        k = group.num_factors // 2
-        base = Group(group.orders[:k])
-        return gate_matrix(AutomorphismGate(cx_matrix(base, gate.dagger)), group, cap)
-    raise TypeError(f"unknown gate {gate!r}")
+        return _fourier_matrix(gate, group)
+    rows, phase = _gate_action(gate, group)
+    mat = np.zeros((group.order, group.order), dtype=complex)
+    mat[rows, np.arange(group.order)] = 1.0 if phase is None else phase
+    return mat
 
 
 def apply_gate(state: np.ndarray, gate: Gate, slots, base: Group, n: int,
                cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """Apply a gate supported on ``slots`` to an n-qudit state over base^n."""
+    """Apply a gate supported on ``slots`` to an n-qudit state over base^n.
+
+    Only the gate's own axes are touched: Fourier contracts them with its
+    matrix, every other gate gathers them by its row map and phases."""
     k = base.num_factors
     local = Group(base.orders * len(slots))
-    mat = gate_matrix(gate, local, cap)
-    full_shape = tuple(base.orders) * n
-    tensor = state.reshape(full_shape)
+    _check_cap(local.order, cap)
     axes = [s * k + f for s in slots for f in range(k)]
-    moved = np.moveaxis(tensor, axes, range(len(axes)))
-    rest = moved.shape[len(axes):]
+    order = axes + [a for a in range(n * k) if a not in axes]
+    moved = state.reshape(base.orders * n).transpose(order)
     flat = moved.reshape(local.order, -1)
-    flat = mat @ flat
-    moved = flat.reshape(tuple(local.orders) + rest)
-    out = np.moveaxis(moved, range(len(axes)), axes)
-    return np.ascontiguousarray(out).reshape(-1)
+    if isinstance(gate, FourierGate):
+        flat = _fourier_matrix(gate, local) @ flat
+    else:
+        rows, phase = _gate_action(gate, local)
+        out = np.empty_like(flat)
+        out[rows] = flat if phase is None else phase[:, None] * flat
+        flat = out
+    return flat.reshape(moved.shape).transpose(np.argsort(order)).reshape(-1)
 
 
 def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
@@ -163,42 +202,42 @@ def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) ->
     return abs(np.vdot(a, b)) >= 1.0 - tol
 
 
-def canonical_measurement_unitary(vec: PauliVector) -> tuple[PauliOperator, int]:
-    """The order-m unitary measured for a Pauli vector observable.
+def _measured_action(vec: PauliVector):
+    """(rows, expo, den, m) for the order-m unitary measured for a Pauli
+    vector observable, U|h> = exp(2*pi*i*expo[h]/den) |rows[h]>.
 
-    m is the order of the vector; the phase is fixed so the unitary's m-th
-    power is exactly the identity, making outcomes plain m-th-root
-    exponents.
+    m is the order of the vector.  U is the vector's Pauli P times the
+    phase that makes U^m exactly the identity, so outcomes are plain
+    m-th-root exponents.  P^m is the scalar whose exponent is the sum of
+    P's exponents along the orbit of basis index 0.
     """
     m = vec.order
-    bare = PauliOperator.from_vector(vec)
-    residue = bare.pow(m)
-    if not (residue.x.is_zero() and residue.z.is_trivial()):
+    rows, expo, den = _pauli_action(PauliOperator.from_vector(vec), vec.group)
+    total, h = 0, 0
+    for _ in range(m):
+        total += int(expo[h])
+        h = rows[h]
+    if h != 0:
         raise AssertionError("vector order computation is wrong")
-    correction = Phase.from_fraction(-residue.phase.frac / m)
-    return bare.with_phase(correction), m
+    return rows, m * expo - total % den, m * den, m
 
 
 def measurement_projections(state: np.ndarray, vec: PauliVector,
                             tol: float = 1e-12):
     """All (outcome, probability, normalized post-state) triples with
-    nonzero probability for measuring the canonical unitary of ``vec``."""
-    op, m = canonical_measurement_unitary(vec)
-    powers = [state]
-    current = state
-    for _ in range(m - 1):
-        current = pauli_apply(op, current)
-        powers.append(current)
-    branches = []
-    for s in range(m):
-        proj = np.zeros_like(state)
-        for t in range(m):
-            proj += cmath.exp(-2j * cmath.pi * s * t / m) * powers[t]
-        proj /= m
-        prob = float(np.vdot(proj, proj).real)
-        if prob > tol:
-            branches.append((s, prob, proj / math.sqrt(prob)))
-    return branches
+    nonzero probability for measuring the canonical unitary of ``vec``:
+    the projection on outcome s is (1/m) sum_t exp(-2*pi*i*s*t/m) U^t."""
+    rows, expo, den, m = _measured_action(vec)
+    phase = _roots(expo, den)
+    powers = np.empty((m, len(state)), dtype=complex)
+    powers[0] = state
+    for t in range(1, m):
+        powers[t][rows] = phase * powers[t - 1]
+    ts = np.arange(m)
+    projs = _roots(-np.outer(ts, ts), m) @ powers / m
+    probs = np.einsum("ij,ij->i", projs.conj(), projs).real
+    return [(s, float(probs[s]), projs[s] / math.sqrt(probs[s]))
+            for s in range(m) if probs[s] > tol]
 
 
 @dataclass
@@ -216,9 +255,6 @@ class DenseState:
         big = product_group(base, n)
         _check_cap(big.order, cap)
         return cls(base, n, basis_state(big, (0,) * big.num_factors))
-
-    def norm_check(self, tol: float = 1e-9) -> bool:
-        return abs(float(np.vdot(self.vector, self.vector).real) - 1.0) <= tol
 
 
 def tableau_faithful(tableau: CliffordTableau, gate: Gate, group: Group,
@@ -319,6 +355,12 @@ def enumerate_branches(circuit, cap: int = DEFAULT_DENSE_CAP, tol: float = 1e-12
     """Every measurement branch as (record, DenseState, probability)."""
     from .circuits import (CorrectionOp, GateOp, MagicPrepOp, MeasureOp,
                            resolve_correction)
+    base, n = circuit.base, circuit.n
+    observables = {i: embed_vector(op.observable(base), op.slots, base, n)
+                   for i, op in enumerate(circuit.ops) if isinstance(op, MeasureOp)}
+    # a correction depends only on the registers it reads, which many
+    # branches share
+    corrections: dict[tuple, Gate] = {}
     results = []
 
     def walk(state, idx, record, prob):
@@ -327,21 +369,19 @@ def enumerate_branches(circuit, cap: int = DEFAULT_DENSE_CAP, tol: float = 1e-12
             if isinstance(op, MagicPrepOp):
                 continue
             if isinstance(op, GateOp):
-                state = apply_gate(state, op.gate, op.slots, circuit.base,
-                                   circuit.n, cap)
+                state = apply_gate(state, op.gate, op.slots, base, n, cap)
             elif isinstance(op, CorrectionOp):
-                gate = resolve_correction(op, circuit.base, record)
-                state = apply_gate(state, gate, op.slots, circuit.base,
-                                   circuit.n, cap)
+                key = (i, tuple(record[a] for a in op.args))
+                if key not in corrections:
+                    corrections[key] = resolve_correction(op, base, record)
+                state = apply_gate(state, corrections[key], op.slots, base, n, cap)
             elif isinstance(op, MeasureOp):
-                vec = embed_vector(op.observable(circuit.base), op.slots,
-                                   circuit.base, circuit.n)
-                for s, p, st in measurement_projections(state, vec, tol):
+                for s, p, st in measurement_projections(state, observables[i], tol):
                     walk(st, i + 1, {**record, op.register: s}, prob * p)
                 return
             else:
                 raise TypeError(f"unknown op {op!r}")
-        results.append((record, DenseState(circuit.base, circuit.n, state), prob))
+        results.append((record, DenseState(base, n, state), prob))
 
     walk(_initial_vector(circuit, cap), 0, {}, 1.0)
     return results

@@ -99,10 +99,13 @@ def build_cx_protocol(base: Group) -> Circuit:
 
 def check_cx_protocol(base: Group, cap: int = DEFAULT_DENSE_CAP,
                       tol: float = 1e-9) -> ProtocolReport:
-    """Exhaustive dense verification over all basis inputs and branches."""
+    """Exhaustive dense verification over all basis inputs and branches:
+    each branch maps every basis input to its target with one phase per
+    measurement record, the same for every input."""
     report = ProtocolReport("measurement-based-cx", base.literal())
     protocol = build_cx_protocol(base)
     big = product_group(base, 3)
+    branch_phase: dict[tuple, tuple[complex, str]] = {}
     for g in base.elements():
         for h in base.elements():
             prep = (
@@ -117,8 +120,15 @@ def check_cx_protocol(base: Group, cap: int = DEFAULT_DENSE_CAP,
                 if not states_equal_up_to_phase(state.vector, expected, tol):
                     report.failures.append(
                         f"input ({g},{h}) branch {record} missed the target")
-                else:
-                    report.phases.append(complex(np.vdot(expected, state.vector)))
+                    continue
+                phase = complex(np.vdot(expected, state.vector))
+                report.phases.append(phase)
+                key = tuple(sorted(record.items()))
+                first, first_input = branch_phase.setdefault(key, (phase, f"({g},{h})"))
+                if abs(phase - first) > math.sqrt(2 * tol):
+                    report.failures.append(
+                        f"branch {record}: phase {phase:.6f} on input ({g},{h}) "
+                        f"differs from {first:.6f} on input {first_input}")
     return report
 
 

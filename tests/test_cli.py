@@ -1,6 +1,11 @@
+import copy
 import io
 import json
 import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gclifford.circuits import (circuit_to_json, dump_document,
                                 sequence_from_json, symplectic_to_json)
@@ -228,3 +233,148 @@ def test_protocol_triple_and_split(tmp_path):
                             "4", "--spectator", "2", "--check"])
     assert code2 == 0, text2
     assert json.loads(text2)["passed"]
+
+
+def test_dense_rejects_non_invertible_automorphism(tmp_path):
+    doc = {"format_version": 1, "type": "circuit", "group": "4", "qudits": 1,
+           "operations": [{"op": "gate", "slots": [0],
+                           "gate": {"kind": "automorphism", "matrix": [[2]]}},
+                          {"op": "measure", "register": "m", "slots": [0],
+                           "x": [0], "z": [1]}]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    for backend in ("tableau", "dense"):
+        code, text = run_cli(["simulate", "--in", str(path), "--backend", backend,
+                              "--seed", "1"])
+        assert code == 2 and "NotInvertibleError" in text, (backend, text)
+
+
+def test_non_object_document_exit_2(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    for args in (["simulate", "--seed", "1"], ["decompose"]):
+        code, text = run_cli([*args, "--in", str(path)])
+        assert code == 2 and "list" in text, (args, text)
+
+
+@pytest.mark.parametrize("gate, message", [
+    ({"kind": "automorphism", "matrix": [["1", 0], [0, 1]]}, "integers"),
+    # a lower-triangle cross term used to be dropped without a word
+    ({"kind": "quadratic", "diag": [0, 0], "cross": [[1, 0, 1]],
+      "linear": [0, 0]}, "0 <= i < j"),
+])
+def test_malformed_gate_payload_exit_2(tmp_path, gate, message):
+    doc = {"format_version": 1, "type": "circuit", "group": "2,2", "qudits": 1,
+           "operations": [{"op": "gate", "slots": [0], "gate": gate}]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    code, text = run_cli(["simulate", "--in", str(path), "--seed", "1"])
+    assert code == 2 and message in text, text
+
+
+def test_one_slot_cx_exit_2(tmp_path):
+    doc = {"format_version": 1, "type": "circuit", "group": "2", "qudits": 2,
+           "operations": [{"op": "gate", "slots": [1],
+                           "gate": {"kind": "cx", "dagger": False}}]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    code, text = run_cli(["simulate", "--in", str(path), "--seed", "1"])
+    assert code == 2 and "cx gate acts on 2 slots" in text, text
+
+
+def _fuzz_corpus():
+    """(document, command lines) pairs; every document is valid as built,
+    and each command line ends with the option that names its file."""
+    from gclifford.circuits import (Circuit, GateOp, MeasureOp,
+                                    sequence_to_json, tableau_to_json)
+    from gclifford.clifford import (AutomorphismGate, CXGate, FourierGate,
+                                    PauliGate, QuadraticGate, gate_tableau)
+    from gclifford.forms import Character, QuadraticForm
+    from gclifford.groups import GroupElement
+    from gclifford.pauli import PauliOperator
+    from gclifford.phases import Phase
+    from gclifford.protocols import build_cx_protocol, build_magic_injection
+    z2, z4x2 = make_group([2]), make_group([4, 2])
+    pair = make_group([2, 2])
+    gates = [
+        AutomorphismGate(HomMatrix(pair, pair, ((1, 0), (1, 1)))),
+        QuadraticGate(QuadraticForm(pair, (1, 2), ((0, 1), (0, 0)), (1, 0))),
+        FourierGate(HomMatrix.identity(pair), True),
+        PauliGate(PauliOperator(pair, Phase(1, 4), GroupElement(pair, (1, 0)),
+                                Character(pair, (0, 1)))),
+    ]
+    mixed = Circuit(z2, 2, tuple(GateOp(g, (1, 0)) for g in gates)
+                    + (GateOp(CXGate(), (0, 1)),
+                       MeasureOp("m", (0, 1), (1, 0), (0, 1))))
+    magic, _ = build_magic_injection(z2, {z2.zero(): Phase(),
+                                          z2.element((1,)): Phase(1, 8)})
+    shots = ["--seed", "1", "--shots", "2", "--in"]
+    sim = [["simulate", "--backend", "tableau", *shots],
+           ["simulate", "--backend", "dense", *shots],
+           ["simulate", "--backend", "dense", "--branches", "--in"]]
+    sigma = random_symplectic(z4x2, random.Random(5))
+    table = {"format_version": 1, "type": "phase_table", "group": "2",
+             "table": [[[0], "0/1"], [[1], "1/8"]]}
+    return [
+        (circuit_to_json(build_cx_protocol(z2)), sim),
+        (circuit_to_json(mixed), sim),
+        (circuit_to_json(magic), sim[1:]),
+        (sequence_to_json(gates, pair), [["decompose", "--in"], sim[0]]),
+        (symplectic_to_json(z4x2, sigma.matrix.entries, "embedded"),
+         [["decompose", "--verify", "--in"]]),
+        (tableau_to_json(gate_tableau(gates[1])), [["decompose", "--verify", "--in"]]),
+        (table, [["protocol", "--name", "magic", "--group", "2", "--check",
+                  "--table"]]),
+    ]
+
+
+FUZZ_CORPUS = _fuzz_corpus()
+
+# Replacement values stay small: a mutated qudit count or group order is
+# meant to be malformed, not a legitimately huge job.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.just(1.5)
+    | st.text(alphabet="0123456789,/-x", max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "op", "type", "x", "z", "matrix"]),
+                      inner, max_size=2),
+    max_leaves=5)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_case(draw):
+    doc, commands = draw(st.sampled_from(FUZZ_CORPUS))
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(JSON_VALUES)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(JSON_VALUES)
+    return doc, draw(st.sampled_from(commands))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=mutated_case())
+def test_mutated_documents_keep_exit_code_contract(tmp_path_factory, case):
+    doc, command = case
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, text = run_cli([*command, str(path)])
+    assert code in (0, 1, 2, 3), text
+    assert "Traceback" not in text

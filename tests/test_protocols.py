@@ -161,3 +161,24 @@ def test_certificate_bfs_full():
     assert report.passed
     assert not report.details["bfs_capped"]
     assert report.details["bfs_closure_size"] == 24576
+
+
+def test_cx_protocol_input_dependent_phase_fails(monkeypatch):
+    import gclifford.protocols as protocols
+    from gclifford.circuits import Circuit, GateOp
+    from gclifford.clifford import QuadraticGate
+    base = make_group([2])
+    honest = protocols.build_cx_protocol
+
+    def with_input_phase(group):
+        # Z on the control after the protocol: a (-1)^g phase that depends
+        # on the input, so no single phase per branch record exists
+        circuit = honest(group)
+        z = QuadraticGate(QuadraticForm(group, (0,), ((0,),), (1,)))
+        return Circuit(group, 3, circuit.ops + (GateOp(z, (0,)),))
+
+    monkeypatch.setattr(protocols, "build_cx_protocol", with_input_phase)
+    report = protocols.check_cx_protocol(base)
+    assert not report.passed
+    assert all("differs" in f for f in report.failures)
+    assert "'q0': 0" in report.failures[0] and "on input ((1),(0))" in report.failures[0]
