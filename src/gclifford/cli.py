@@ -146,11 +146,10 @@ def cmd_counterexample(args, stdout) -> int:
 
 def cmd_protocol(args, stdout) -> int:
     from .forms import standard_nondegenerate_form
-    from .phases import Phase
     from .protocols import (build_cx_protocol, build_magic_injection,
-                            build_split_fourier, check_cx_protocol,
-                            check_magic_injection, check_split_fourier,
-                            check_triple_identity)
+                            build_split_fourier, builtin_magic_table,
+                            check_cx_protocol, check_magic_injection,
+                            check_split_fourier, check_triple_identity)
     group = parse_group(args.group)
     circuit = None
     report = None
@@ -164,13 +163,11 @@ def cmd_protocol(args, stdout) -> int:
             if not isinstance(doc, dict) or doc.get("type") != "phase_table":
                 raise ValueError("--table must be a phase_table document")
             table = cio.decode_phase_table(group, doc["table"])
-        elif group.orders == (2,):
-            table = {group.zero(): Phase(), group.element((1,)): Phase(1, 8)}
-        elif group.orders == (3,):
-            table = {group.element((r,)): Phase(r ** 3, 9) for r in range(3)}
         else:
-            raise ValueError("no built-in magic table for this group; "
-                             "provide one with --table")
+            table = builtin_magic_table(group)
+            if table is None:
+                raise ValueError("no built-in magic table for this group; "
+                                 "provide one with --table")
         circuit, spec = build_magic_injection(group, table)
         if args.check:
             report = check_magic_injection(group, table, args.dense_cap)

@@ -30,10 +30,11 @@ from .forms import (QuadraticForm, fit_quadratic_table, i_xi_matrix,
 from .groups import (Group, HomMatrix, invert_automorphism,
                      is_automorphism, make_group, product_group)
 from .pauli import PauliOperator
+from .phases import Phase
 
 __all__ = [
     "ProtocolReport", "build_cx_protocol", "check_cx_protocol",
-    "build_magic_injection", "check_magic_injection",
+    "builtin_magic_table", "build_magic_injection", "check_magic_injection",
     "check_triple_identity", "build_split_fourier", "check_split_fourier",
     "cx_insufficiency_certificate",
 ]
@@ -101,7 +102,8 @@ def check_cx_protocol(base: Group, cap: int = DEFAULT_DENSE_CAP,
                       tol: float = 1e-9) -> ProtocolReport:
     """Exhaustive dense verification over all basis inputs and branches:
     each branch maps every basis input to its target with one phase per
-    measurement record, the same for every input."""
+    measurement record, the same for every input.  ``report.phases`` holds
+    that phase once per record, in the order the records first occur."""
     report = ProtocolReport("measurement-based-cx", base.literal())
     protocol = build_cx_protocol(base)
     big = product_group(base, 3)
@@ -122,9 +124,12 @@ def check_cx_protocol(base: Group, cap: int = DEFAULT_DENSE_CAP,
                         f"input ({g},{h}) branch {record} missed the target")
                     continue
                 phase = complex(np.vdot(expected, state.vector))
-                report.phases.append(phase)
                 key = tuple(sorted(record.items()))
-                first, first_input = branch_phase.setdefault(key, (phase, f"({g},{h})"))
+                if key not in branch_phase:
+                    branch_phase[key] = (phase, f"({g},{h})")
+                    report.phases.append(phase)
+                    continue
+                first, first_input = branch_phase[key]
                 if abs(phase - first) > math.sqrt(2 * tol):
                     report.failures.append(
                         f"branch {record}: phase {phase:.6f} on input ({g},{h}) "
@@ -134,6 +139,16 @@ def check_cx_protocol(base: Group, cap: int = DEFAULT_DENSE_CAP,
 
 # ---------------------------------------------------------------------------
 # magic state injection
+
+def builtin_magic_table(base: Group):
+    """The reference magic phase table of ``base``, or None: the T gate
+    (phases 0 and 1/8) on Z2 and the r^3/9 phase gate on Z3."""
+    if base.orders == (2,):
+        return {base.zero(): Phase(), base.element((1,)): Phase(1, 8)}
+    if base.orders == (3,):
+        return {base.element((r,)): Phase(r ** 3, 9) for r in range(3)}
+    return None
+
 
 def check_injection_precondition(base: Group, table) -> None:
     """Every outcome's correction must be a quadratic form; raises

@@ -26,8 +26,9 @@ from .forms import (Character, QuadraticForm, i_xi, is_nondegenerate,
 from .groups import Group, HomMatrix, canonicalize, make_group, product_group
 from .pauli import PauliOperator, beta
 from .phases import Phase
-from .protocols import (check_cx_protocol, check_magic_injection,
-                        check_split_fourier, check_triple_identity)
+from .protocols import (builtin_magic_table, check_cx_protocol,
+                        check_magic_injection, check_split_fourier,
+                        check_triple_identity)
 from .stabilizer import enumerate_branches as tableau_branches
 from .symplectic import decompose, random_symplectic, sequence_image
 
@@ -288,11 +289,8 @@ def _suite_split_fourier(group: Group, seed: int, cap: int):
 
 
 def _suite_injection(group: Group, seed: int, cap: int):
-    if group.orders == (2,):
-        table = {group.zero(): Phase(), group.element((1,)): Phase(1, 8)}
-    elif group.orders == (3,):
-        table = {group.element((r,)): Phase(r ** 3, 9) for r in range(3)}
-    else:
+    table = builtin_magic_table(group)
+    if table is None:
         return _check("magic-injection", True,
                       "skipped: no reference table for this group")
     report = check_magic_injection(group, table, cap)

@@ -25,6 +25,17 @@ def test_cx_protocol_small(orders):
         * make_group(orders).order ** 3
 
 
+@pytest.mark.parametrize("orders", [(2,), (4,)])
+def test_cx_protocol_one_phase_per_record(orders):
+    base = make_group(orders)
+    report = check_cx_protocol(base)
+    assert report.passed
+    records = {tuple(sorted(record.items()))
+               for record, _, _ in tableau_branches(build_cx_protocol(base))}
+    assert len(report.phases) == len(records) == base.order ** 3
+    assert report.branch_count == base.order ** 2 * len(records)
+
+
 def test_cx_protocol_runs_on_tableau_backend():
     base = make_group([2])
     circuit = build_cx_protocol(base)

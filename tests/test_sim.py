@@ -101,12 +101,11 @@ def test_measure_z_on_zero_state_deterministic():
 def test_measure_existing_stabilizer_unchanged():
     z4 = make_group([4])
     st = StabilizerState(z4, 1)
-    before = [list(map(tuple, (g[0], g[1]))) + [g[2]] for g in st.gens]
+    before = st.generator_operators()
     vec = PauliVector(z4, z4.zero(), Character(z4, (1,)))
     out, prob = st.measure(vec, rng=random.Random(0))
     assert out == 0 and prob == 1
-    after = [list(map(tuple, (g[0], g[1]))) + [g[2]] for g in st.gens]
-    assert before == after
+    assert st.generator_operators() == before
 
 
 def test_qubit_plus_state_x_measurement():
