@@ -1,11 +1,18 @@
-"""Circuit representation shared by both backends, plus the JSON file
-formats for circuits, gate sequences and symplectic matrices.
+"""Circuits shared by both backends, the one interpreter that runs them,
+and the JSON file formats for circuits, gate sequences and symplectic
+matrices.
 
 A circuit is a list of operations over ``n`` qudits, each qudit a copy of
 one base group.  Measurements observe a Pauli vector on selected slots and
 write an exponent outcome to a named register; classically controlled
 corrections reference registers by name and a built-in correction function
 (the measurement-based CX and magic-injection fix-ups are built-ins).
+
+:func:`interpret` is the only loop over a circuit's operations.  It drives
+either backend through three calls (apply a gate, list the outcomes of an
+observable with their probabilities, project onto one) and states the
+sampling rule once: a measurement draws a random number only when it has
+more than one outcome.
 
 All documents are JSON with integers only; phases are "num/den" strings.
 Matrices over groups can be written in the natural residue convention
@@ -17,11 +24,13 @@ top-level field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass
 
 from .clifford import (AutomorphismGate, CXGate, FourierGate, Gate, PauliGate,
                        QuadraticGate)
-from .errors import IncompleteTableError, PreconditionFailedError
+from .errors import (GroupMismatchError, IncompleteTableError,
+                     PreconditionFailedError)
 from .forms import Character, QuadraticForm, fit_quadratic_table
 from .groups import Group, GroupElement, HomMatrix, parse_group, product_group
 from .pauli import PauliOperator, PauliVector
@@ -81,8 +90,13 @@ class Circuit:
         for op in self.ops:
             if isinstance(op, GateOp):
                 self._check_slots(op.slots)
-                if isinstance(op.gate, CXGate) and len(op.slots) != 2:
-                    raise ValueError(f"a cx gate acts on 2 slots, not {len(op.slots)}")
+                if isinstance(op.gate, CXGate):
+                    if len(op.slots) != 2:
+                        raise ValueError(f"a cx gate acts on 2 slots, not {len(op.slots)}")
+                elif op.gate.group.orders != self.base.orders * len(op.slots):
+                    raise GroupMismatchError(
+                        f"a gate over {op.gate.group!r} does not act on "
+                        f"{len(op.slots)} slot(s) of {self.base!r}")
                 touched.update(op.slots)
             elif isinstance(op, MeasureOp):
                 self._check_slots(op.slots)
@@ -92,6 +106,8 @@ class Circuit:
                 written.add(op.register)
             elif isinstance(op, CorrectionOp):
                 self._check_slots(op.slots)
+                if len(op.slots) != 1:
+                    raise ValueError(f"a correction acts on 1 slot, not {len(op.slots)}")
                 touched.update(op.slots)
                 missing = [a for a in op.args if a not in written]
                 if missing:
@@ -170,6 +186,94 @@ def resolve_correction(op: CorrectionOp, base: Group, record: dict) -> Gate:
         raise ValueError(f"unknown correction builtin {op.builtin!r}")
     values = [record[a] for a in op.args]
     return fn(base, values, op.table)
+
+
+# ---------------------------------------------------------------------------
+# the interpreter
+
+def embed_vector(local: PauliVector, slots, base: Group, n: int) -> PauliVector:
+    """Place a slot-local Pauli vector into the full n-qudit group."""
+    k = base.num_factors
+    big = product_group(base, n)
+    xres = [0] * (n * k)
+    zres = [0] * (n * k)
+    for pos, s in enumerate(slots):
+        xres[s * k:(s + 1) * k] = local.x.residues[pos * k:(pos + 1) * k]
+        zres[s * k:(s + 1) * k] = local.z.residues[pos * k:(pos + 1) * k]
+    return PauliVector(big, GroupElement(big, tuple(xres)),
+                       Character(big, tuple(zres)))
+
+
+def sample_outcome(rng, pairs):
+    """The (outcome, probability) pair drawn from ``pairs``, which are in
+    ascending outcome order: a single pair draws nothing, otherwise one
+    ``rng.random()`` picks by cumulative scan."""
+    if len(pairs) == 1:
+        return pairs[0]
+    r = rng.random()
+    acc = 0.0
+    for pair in pairs:
+        acc += float(pair[1])
+        if r < acc:
+            return pair
+    return pairs[-1]
+
+
+def interpret(circuit: Circuit, backend, state, rng=None) -> list:
+    """Run the circuit's operations from ``state``; returns its branches as
+    (record, final state, probability) in ascending record order.
+
+    Without ``rng`` every outcome is followed; with it each measurement
+    keeps one, drawn by :func:`sample_outcome`.  The backend provides
+    ``apply(state, gate, slots) -> state``, ``outcomes(state, observable)
+    -> (pairs, support)`` with the (outcome, probability) pairs of nonzero
+    probability in ascending order, ``project(state, support, outcome,
+    last) -> state`` (``last``: no other branch needs ``state``) and
+    ``unit``, the probability of the empty record.  Magic preparations
+    belong to the initial state.
+    """
+    base, n, ops = circuit.base, circuit.n, circuit.ops
+    # observables by op index; corrections by (op index, registers read),
+    # which many branches share
+    memo: dict = {}
+    branches = []
+
+    def walk(state, start: int, record: dict, prob):
+        for i in range(start, len(ops)):
+            op = ops[i]
+            if isinstance(op, GateOp):
+                state = backend.apply(state, op.gate, op.slots)
+            elif isinstance(op, CorrectionOp):
+                key = (i, tuple(record[a] for a in op.args))
+                if key not in memo:
+                    memo[key] = resolve_correction(op, base, record)
+                state = backend.apply(state, memo[key], op.slots)
+            elif isinstance(op, MeasureOp):
+                if i not in memo:
+                    memo[i] = embed_vector(op.observable(base), op.slots, base, n)
+                pairs, support = backend.outcomes(state, memo[i])
+                if rng is not None:
+                    pairs = [sample_outcome(rng, pairs)]
+                for s, p in pairs[:-1]:
+                    walk(backend.project(state, support, s, False), i + 1,
+                         {**record, op.register: s}, prob * p)
+                # the last outcome continues here and may reuse the state
+                s, p = pairs[-1]
+                state = backend.project(state, support, s, True)
+                record[op.register] = s
+                prob = prob * p
+        branches.append((record, state, prob))
+
+    walk(state, 0, {}, backend.unit)
+    return branches
+
+
+def sample_trajectory(circuit: Circuit, backend, state, rng=None, seed=None):
+    """One sampled trajectory: (final state, record)."""
+    if rng is None:
+        rng = random.Random(seed)
+    [(record, state, _prob)] = interpret(circuit, backend, state, rng)
+    return state, record
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +385,6 @@ def gate_from_json(data: dict, group: Group) -> Gate:
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def _slot_group(base: Group, nslots: int) -> Group:
-    return product_group(base, nslots) if nslots > 1 else base
-
-
 def op_to_json(op: Op) -> dict:
     if isinstance(op, GateOp):
         return {"op": "gate", "slots": list(op.slots), "gate": gate_to_json(op.gate)}
@@ -315,8 +415,7 @@ def op_from_json(data: dict, base: Group) -> Op:
     kind = _object(data, "operation").get("op")
     if kind == "gate":
         slots = _ints(data["slots"], "slots")
-        local = _slot_group(base, len(slots))
-        return GateOp(gate_from_json(data["gate"], local), slots)
+        return GateOp(gate_from_json(data["gate"], product_group(base, len(slots))), slots)
     if kind == "measure":
         return MeasureOp(_str(data["register"], "register"), _ints(data["slots"], "slots"),
                          _ints(data["x"], "x"), _ints(data["z"], "z"))

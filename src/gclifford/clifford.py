@@ -7,24 +7,32 @@ unitaries agree up to phase.  Conjugation of an arbitrary Pauli
 accumulates the generator images in a fixed order (ascending factor, X
 block before Z block), which is consistent because all deviations land in
 exactly tracked phases.
+
+Gate semantics are stated once, by :func:`gate_image`: the matrix over
+G x G^ whose columns are the vectors of the generator images.  Every
+non-Pauli tableau is read off those columns; its only phases are a
+quadratic gate's values on the generators, on the X images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
+
+import numpy as np
 
 from .elementary import automorphism_elementary_factors
 from .errors import GroupMismatchError
 from .forms import (Character, QuadraticForm, induced_hom, polarize)
 from .groups import Group, GroupElement, HomMatrix, invert_automorphism, product_group
-from .pauli import PauliOperator, PauliVector, beta
+from .intmat import identity_matrix
+from .pauli import PauliOperator
 from .phases import Phase
 
 __all__ = [
     "AutomorphismGate", "QuadraticGate", "FourierGate", "PauliGate", "CXGate",
-    "CliffordTableau", "gate_tableau", "gate_inverse", "sequence_tableau",
-    "gate_automorphism", "gate_quadratic", "gate_fourier",
-    "two_local_factorize",
+    "CliffordTableau", "gate_image", "gate_tableau", "gate_inverse",
+    "sequence_tableau", "preserves_pairing", "two_local_factorize",
 ]
 
 
@@ -118,11 +126,20 @@ class CliffordTableau:
 
     @classmethod
     def identity(cls, group: Group) -> "CliffordTableau":
-        xs = tuple(PauliOperator.x_shift(group.generator(i))
-                   for i in range(group.num_factors))
-        zs = tuple(PauliOperator.z_char(Character.generator(group, i))
-                   for i in range(group.num_factors))
-        return cls(group, xs, zs)
+        return cls.from_columns(group, identity_matrix(2 * group.num_factors))
+
+    @classmethod
+    def from_columns(cls, group: Group, entries, x_phases=None) -> "CliffordTableau":
+        """The tableau whose generator images have the columns of a matrix
+        over G x G^ as vectors, with phase zero but for ``x_phases`` on
+        the X images."""
+        m = group.num_factors
+        phases = list(x_phases or [Phase()] * m) + [Phase()] * m
+        imgs = [PauliOperator(group, phases[j],
+                              GroupElement(group, tuple(row[j] for row in entries[:m])),
+                              Character(group, tuple(row[j] for row in entries[m:])))
+                for j in range(2 * m)]
+        return cls(group, tuple(imgs[:m]), tuple(imgs[m:]))
 
     def conjugate(self, p: PauliOperator) -> PauliOperator:
         if p.group != self.group:
@@ -147,34 +164,24 @@ class CliffordTableau:
     def vector_matrix(self) -> HomMatrix:
         """The induced automorphism of G x G^ on Pauli vectors."""
         big = doubled_group(self.group)
-        cols = [img.vector().residues() for img in self.x_images]
-        cols += [img.vector().residues() for img in self.z_images]
-        entries = tuple(tuple(cols[j][i] for j in range(len(cols)))
-                        for i in range(2 * self.group.num_factors))
-        return HomMatrix(big, big, entries)
+        cols = [img.vector().residues() for img in self.x_images + self.z_images]
+        return HomMatrix(big, big, tuple(zip(*cols)))
 
     def inverse(self) -> "CliffordTableau":
-        vm = invert_automorphism(self.vector_matrix())
-        n = self.group.num_factors
-        gens = [PauliOperator.x_shift(self.group.generator(i)) for i in range(n)]
-        gens += [PauliOperator.z_char(Character.generator(self.group, i))
-                 for i in range(n)]
+        raw = CliffordTableau.from_columns(
+            self.group, invert_automorphism(self.vector_matrix()).entries)
+        ident = CliffordTableau.identity(self.group)
 
-        def preimage(col: int) -> PauliOperator:
-            vec = [vm.entries[r][col] for r in range(2 * n)]
-            raw = PauliOperator(
-                self.group, Phase(),
-                GroupElement(self.group, tuple(vec[:n])),
-                Character(self.group, tuple(vec[n:])))
-            img = self.conjugate(raw)
-            if img.vector() != gens[col].vector():
+        def preimage(pre: PauliOperator, gen: PauliOperator) -> PauliOperator:
+            img = self.conjugate(pre)
+            if img.vector() != gen.vector():
                 raise ValueError("tableau vector action failed to invert")
             # img is the generator up to phase; cancel that phase.
-            return raw.times_phase(-img.phase)
+            return pre.times_phase(-img.phase)
 
-        xs = tuple(preimage(i) for i in range(n))
-        zs = tuple(preimage(n + i) for i in range(n))
-        return CliffordTableau(self.group, xs, zs)
+        return CliffordTableau(self.group,
+                               tuple(map(preimage, raw.x_images, ident.x_images)),
+                               tuple(map(preimage, raw.z_images, ident.z_images)))
 
     def is_identity(self) -> bool:
         return self == CliffordTableau.identity(self.group)
@@ -183,16 +190,9 @@ class CliffordTableau:
         """Check the defining invariants: the vector action preserves the
         commutation pairing and each generator image has the right order."""
         n = self.group.num_factors
-        gens = [PauliVector(self.group, self.group.generator(i),
-                            Character.trivial(self.group)) for i in range(n)]
-        gens += [PauliVector(self.group, self.group.zero(),
-                             Character.generator(self.group, i)) for i in range(n)]
-        imgs = [img.vector() for img in self.x_images]
-        imgs += [img.vector() for img in self.z_images]
-        for a in range(2 * n):
-            for b in range(2 * n):
-                if beta(imgs[a], imgs[b]) != beta(gens[a], gens[b]):
-                    raise ValueError("tableau does not preserve the pairing")
+        cols = [img.vector().residues() for img in self.x_images + self.z_images]
+        if not preserves_pairing(self.group.orders, list(zip(*cols))):
+            raise ValueError("tableau does not preserve the pairing")
         for i in range(n):
             q = self.group.orders[i]
             if not self.x_images[i].pow(q).is_identity():
@@ -205,52 +205,25 @@ def doubled_group(group: Group) -> Group:
     return Group(group.orders + group.orders)
 
 
-def gate_automorphism(tau: HomMatrix) -> CliffordTableau:
-    group = tau.source
-    inv_dual = invert_automorphism(tau).dual()
-    xs = tuple(PauliOperator.x_shift(tau.column(i))
-               for i in range(group.num_factors))
-    zs = tuple(PauliOperator.z_char(Character(group, inv_dual.column(i).residues))
-               for i in range(group.num_factors))
-    return CliffordTableau(group, xs, zs)
-
-
-def gate_quadratic(form: QuadraticForm) -> CliffordTableau:
-    group = form.group
-    bmat = induced_hom(polarize(form))
-    xs = []
-    for i in range(group.num_factors):
-        g = group.generator(i)
-        xs.append(PauliOperator(group, form.eval(g), g,
-                                Character(group, bmat.column(i).residues)))
-    zs = tuple(PauliOperator.z_char(Character.generator(group, i))
-               for i in range(group.num_factors))
-    return CliffordTableau(group, tuple(xs), zs)
-
-
-def gate_fourier(matrix: HomMatrix, dagger: bool = False) -> CliffordTableau:
-    """Tableau of the Fourier gate with iso matrix ``matrix``:
-    X_g -> Z over -dual(m^{-1}) g and Z_chi -> X over m chi."""
-    if dagger:
-        return gate_fourier(fourier_plain_inverse(matrix))
-    group = matrix.source
-    inv_dual = invert_automorphism(matrix).dual()
-    xs = tuple(PauliOperator.z_char(
-        Character(group, tuple(-v for v in inv_dual.column(i).residues)))
-        for i in range(group.num_factors))
-    zs = tuple(PauliOperator.x_shift(matrix.column(i))
-               for i in range(group.num_factors))
-    return CliffordTableau(group, xs, zs)
+def preserves_pairing(orders, entries) -> bool:
+    """Whether the columns of a residue matrix C over G x G^ pair as the
+    unit vectors do: C^T J C == J mod L = lcm(orders), where J is the
+    pairing in units of 1/L, J[m+i][i] = L/q_i = -J[i][m+i]."""
+    m = len(orders)
+    big_l = lcm(*orders)
+    dtype = np.int64 if 2 * m * big_l ** 2 < 2 ** 62 else object
+    c = np.array(entries, dtype=dtype)
+    j = np.zeros((2 * m, 2 * m), dtype=dtype)
+    j[m:, :m] = np.diag(np.array([big_l // q for q in orders], dtype=dtype))
+    j = j - j.T
+    return not (((c.T @ j) % big_l @ c - j) % big_l).any()
 
 
 def gate_pauli(op: PauliOperator) -> CliffordTableau:
-    group = op.group
     inv = op.inverse()
-    xs = tuple(op * PauliOperator.x_shift(group.generator(i)) * inv
-               for i in range(group.num_factors))
-    zs = tuple(op * PauliOperator.z_char(Character.generator(group, i)) * inv
-               for i in range(group.num_factors))
-    return CliffordTableau(group, xs, zs)
+    ident = CliffordTableau.identity(op.group)
+    return CliffordTableau(op.group, tuple(op * g * inv for g in ident.x_images),
+                           tuple(op * g * inv for g in ident.z_images))
 
 
 def cx_matrix(base: Group, dagger: bool = False) -> HomMatrix:
@@ -264,22 +237,56 @@ def cx_matrix(base: Group, dagger: bool = False) -> HomMatrix:
     return HomMatrix(big, big, tuple(tuple(r) for r in entries))
 
 
-def gate_tableau(gate: Gate, group: Group | None = None) -> CliffordTableau:
+def gate_image(gate: Gate, group: Group) -> HomMatrix:
+    """The action of a gate on Pauli vectors over G x G^ (element part
+    first): column j is the vector of the image of generator j.  For CX,
+    ``group`` is the two-slot product; a Pauli gate acts as the identity.
+
+    This is the one statement of gate semantics: :func:`gate_tableau`
+    reads its images off these columns."""
+    if isinstance(gate, CXGate):
+        gate = AutomorphismGate(cx_matrix(Group(group.orders[:group.num_factors // 2]),
+                                          gate.dagger))
+    elif isinstance(gate, FourierGate) and gate.dagger:
+        gate = FourierGate(fourier_plain_inverse(gate.matrix))
+    m = group.num_factors
+    big = doubled_group(group)
+    zero = ((0,) * m,) * m
     if isinstance(gate, AutomorphismGate):
-        return gate_automorphism(gate.tau)
-    if isinstance(gate, QuadraticGate):
-        return gate_quadratic(gate.form)
-    if isinstance(gate, FourierGate):
-        return gate_fourier(gate.matrix, gate.dagger)
+        xx, xz = gate.tau.entries, zero
+        zx, zz = zero, invert_automorphism(gate.tau).dual().entries
+    elif isinstance(gate, QuadraticGate):
+        xx = zz = HomMatrix.identity(group).entries
+        xz, zx = zero, induced_hom(polarize(gate.form)).entries
+    elif isinstance(gate, FourierGate):
+        xx, xz = zero, gate.matrix.entries
+        zx = tuple(tuple(-v for v in row)
+                   for row in invert_automorphism(gate.matrix).dual().entries)
+        zz = zero
+    elif isinstance(gate, PauliGate):
+        return HomMatrix.identity(big)
+    else:
+        raise TypeError(f"unknown gate {gate!r}")
+    return HomMatrix(big, big, tuple(a + b for a, b in zip(xx + zx, xz + zz)))
+
+
+def gate_tableau(gate: Gate, group: Group | None = None) -> CliffordTableau:
+    """Tableau of a gate over ``group`` (required for CX: the two-slot
+    product).  Apart from Pauli gates, each generator image is read off the
+    columns of :func:`gate_image`; the only phases are a quadratic gate's
+    on its X images, the form's values on the generators."""
+    if gate.group is not None:
+        if group is not None and group != gate.group:
+            raise GroupMismatchError(f"gate over {gate.group!r} used over {group!r}")
+        group = gate.group
+    elif group is None:
+        raise ValueError("CX tableau needs the two-slot group")
     if isinstance(gate, PauliGate):
         return gate_pauli(gate.op)
-    if isinstance(gate, CXGate):
-        if group is None:
-            raise ValueError("CX tableau needs the two-slot group")
-        k = group.num_factors // 2
-        base = Group(group.orders[:k])
-        return gate_automorphism(cx_matrix(base, gate.dagger))
-    raise TypeError(f"unknown gate {gate!r}")
+    phases = None
+    if isinstance(gate, QuadraticGate):
+        phases = [gate.form.eval(group.generator(i)) for i in range(group.num_factors)]
+    return CliffordTableau.from_columns(group, gate_image(gate, group).entries, phases)
 
 
 def sequence_tableau(gates, group: Group) -> CliffordTableau:

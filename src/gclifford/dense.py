@@ -13,6 +13,9 @@ residue table of the gate's group, and ``apply_gate`` applies them as
 an index gather on the gate's own axes.  Floats appear only when the
 exponents are turned into roots of unity.  The Fourier gate is the only
 one applied as a matrix contraction.
+
+Circuits run through :func:`circuits.interpret`, as on the stabilizer
+backend, so both draw the same random numbers for the same seed.
 """
 
 from __future__ import annotations
@@ -22,11 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuits import (MagicPrepOp, decode_phase_table, interpret,
+                       sample_trajectory)
 from .clifford import (AutomorphismGate, CXGate, CliffordTableau, FourierGate,
                        Gate, PauliGate, QuadraticGate, cx_matrix)
 from .errors import GroupMismatchError, NotInvertibleError, ResourceCapError
-from .forms import Character, QuadraticForm
-from .groups import Group, GroupElement, HomMatrix, product_group
+from .forms import QuadraticForm
+from .groups import Group, HomMatrix, product_group
 from .pauli import PauliOperator, PauliVector
 
 DEFAULT_DENSE_CAP = 4096
@@ -262,10 +267,8 @@ def tableau_faithful(tableau: CliffordTableau, gate: Gate, group: Group,
     """Dense check that conjugation by the gate's unitary matches the
     tableau prediction on every Pauli generator."""
     u = gate_matrix(gate, group, cap)
-    n = group.num_factors
-    gens = [PauliOperator.x_shift(group.generator(i)) for i in range(n)]
-    gens += [PauliOperator.z_char(Character.generator(group, i)) for i in range(n)]
-    for p in gens:
+    ident = CliffordTableau.identity(group)
+    for p in ident.x_images + ident.z_images:
         lhs = u @ pauli_matrix(p, cap) @ u.conj().T
         rhs = pauli_matrix(tableau.conjugate(p), cap)
         if np.max(np.abs(lhs - rhs)) > tol:
@@ -276,21 +279,7 @@ def tableau_faithful(tableau: CliffordTableau, gate: Gate, group: Group,
 # ---------------------------------------------------------------------------
 # circuit execution
 
-def embed_vector(local: PauliVector, slots, base: Group, n: int) -> PauliVector:
-    """Place a slot-local Pauli vector into the full n-qudit group."""
-    k = base.num_factors
-    big = product_group(base, n)
-    xres = [0] * (n * k)
-    zres = [0] * (n * k)
-    for pos, s in enumerate(slots):
-        xres[s * k:(s + 1) * k] = local.x.residues[pos * k:(pos + 1) * k]
-        zres[s * k:(s + 1) * k] = local.z.residues[pos * k:(pos + 1) * k]
-    return PauliVector(big, GroupElement(big, tuple(xres)),
-                       Character(big, tuple(zres)))
-
-
 def _initial_vector(circuit, cap: int) -> np.ndarray:
-    from .circuits import MagicPrepOp, decode_phase_table
     base = circuit.base
     _check_cap(base.order ** circuit.n, cap)
     per_slot = []
@@ -311,77 +300,37 @@ def _initial_vector(circuit, cap: int) -> np.ndarray:
     return state
 
 
-def sample_outcome(rng, pairs):
-    """Shared sampling discipline: cumulative scan over ascending labels."""
-    r = rng.random()
-    acc = 0.0
-    for label, prob in pairs:
-        acc += float(prob)
-        if r < acc:
-            return label
-    return pairs[-1][0]
+class _Backend:
+    """The dense backend of one circuit as :func:`circuits.interpret`
+    drives it; states are plain vectors."""
+
+    unit = 1.0
+
+    def __init__(self, circuit, cap: int):
+        self.base, self.n, self.cap = circuit.base, circuit.n, cap
+
+    def apply(self, state: np.ndarray, gate: Gate, slots) -> np.ndarray:
+        return apply_gate(state, gate, slots, self.base, self.n, self.cap)
+
+    @staticmethod
+    def outcomes(state: np.ndarray, vec: PauliVector):
+        branches = measurement_projections(state, vec)
+        return [(s, p) for s, p, _ in branches], branches
+
+    @staticmethod
+    def project(state: np.ndarray, branches, outcome: int, last: bool):
+        return next(st for s, _, st in branches if s == outcome)
 
 
 def run_circuit(circuit, rng=None, seed=None, cap: int = DEFAULT_DENSE_CAP):
     """Run one dense trajectory; returns (DenseState, measurement record)."""
-    import random as _random
-    from .circuits import (CorrectionOp, GateOp, MagicPrepOp, MeasureOp,
-                           resolve_correction)
-    if rng is None:
-        rng = _random.Random(seed)
-    state = _initial_vector(circuit, cap)
-    record: dict[str, int] = {}
-    for op in circuit.ops:
-        if isinstance(op, MagicPrepOp):
-            continue
-        if isinstance(op, GateOp):
-            state = apply_gate(state, op.gate, op.slots, circuit.base, circuit.n, cap)
-        elif isinstance(op, MeasureOp):
-            vec = embed_vector(op.observable(circuit.base), op.slots,
-                               circuit.base, circuit.n)
-            branches = measurement_projections(state, vec)
-            outcome = sample_outcome(rng, [(s, p) for s, p, _ in branches])
-            state = next(st for s, _, st in branches if s == outcome)
-            record[op.register] = outcome
-        elif isinstance(op, CorrectionOp):
-            gate = resolve_correction(op, circuit.base, record)
-            state = apply_gate(state, gate, op.slots, circuit.base, circuit.n, cap)
-        else:
-            raise TypeError(f"unknown op {op!r}")
-    return DenseState(circuit.base, circuit.n, state), record
+    vector, record = sample_trajectory(circuit, _Backend(circuit, cap),
+                                       _initial_vector(circuit, cap), rng, seed)
+    return DenseState(circuit.base, circuit.n, vector), record
 
 
-def enumerate_branches(circuit, cap: int = DEFAULT_DENSE_CAP, tol: float = 1e-12):
+def enumerate_branches(circuit, cap: int = DEFAULT_DENSE_CAP):
     """Every measurement branch as (record, DenseState, probability)."""
-    from .circuits import (CorrectionOp, GateOp, MagicPrepOp, MeasureOp,
-                           resolve_correction)
-    base, n = circuit.base, circuit.n
-    observables = {i: embed_vector(op.observable(base), op.slots, base, n)
-                   for i, op in enumerate(circuit.ops) if isinstance(op, MeasureOp)}
-    # a correction depends only on the registers it reads, which many
-    # branches share
-    corrections: dict[tuple, Gate] = {}
-    results = []
-
-    def walk(state, idx, record, prob):
-        for i in range(idx, len(circuit.ops)):
-            op = circuit.ops[i]
-            if isinstance(op, MagicPrepOp):
-                continue
-            if isinstance(op, GateOp):
-                state = apply_gate(state, op.gate, op.slots, base, n, cap)
-            elif isinstance(op, CorrectionOp):
-                key = (i, tuple(record[a] for a in op.args))
-                if key not in corrections:
-                    corrections[key] = resolve_correction(op, base, record)
-                state = apply_gate(state, corrections[key], op.slots, base, n, cap)
-            elif isinstance(op, MeasureOp):
-                for s, p, st in measurement_projections(state, observables[i], tol):
-                    walk(st, i + 1, {**record, op.register: s}, prob * p)
-                return
-            else:
-                raise TypeError(f"unknown op {op!r}")
-        results.append((record, DenseState(base, n, state), prob))
-
-    walk(_initial_vector(circuit, cap), 0, {}, 1.0)
-    return results
+    return [(record, DenseState(circuit.base, circuit.n, vector), prob)
+            for record, vector, prob in interpret(circuit, _Backend(circuit, cap),
+                                                  _initial_vector(circuit, cap))]

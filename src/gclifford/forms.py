@@ -30,7 +30,7 @@ __all__ = [
     "char_eval", "quad_eval", "polarize", "lift_bilinear",
     "is_quadratic_table", "fit_quadratic_table", "is_nondegenerate",
     "induced_hom", "i_xi_matrix", "i_xi", "i_xi_inverse",
-    "standard_nondegenerate_form", "trivial_form",
+    "standard_nondegenerate_form",
 ]
 
 
@@ -241,9 +241,6 @@ class QuadraticForm:
             return False
         return all(self.eval(g) == other.eval(g) for g in self.group.elements())
 
-    def linear_character(self) -> Character:
-        return Character(self.group, self.linear)
-
 
 def quad_eval(xi: QuadraticForm, g: GroupElement) -> Phase:
     return xi.eval(g)
@@ -381,6 +378,3 @@ def standard_nondegenerate_form(group: Group) -> QuadraticForm:
     diag = tuple(1 if q % 2 == 0 else 2 for q in group.orders)
     return QuadraticForm.diagonal(group, diag)
 
-
-def trivial_form(group: Group) -> QuadraticForm:
-    return QuadraticForm.zero(group)

@@ -137,22 +137,6 @@ class GroupElement:
         return f"({','.join(map(str, self.residues))})"
 
 
-def elem_add(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a + b
-
-
-def elem_neg(a: GroupElement) -> GroupElement:
-    return -a
-
-
-def elem_zero(group: Group) -> GroupElement:
-    return group.zero()
-
-
-def elem_order(a: GroupElement) -> int:
-    return a.order
-
-
 @dataclass(frozen=True)
 class HomMatrix:
     """A homomorphism ``source -> target`` as a residue matrix."""
@@ -238,14 +222,6 @@ def hom_is_valid(source: Group, target: Group, entries) -> bool:
             if (v * source.orders[j]) % qi:
                 return False
     return True
-
-
-def hom_apply(m: HomMatrix, a: GroupElement) -> GroupElement:
-    return m.apply(a)
-
-
-def hom_compose(m2: HomMatrix, m1: HomMatrix) -> HomMatrix:
-    return m2.compose(m1)
 
 
 def _lifted_relation_matrix(m: HomMatrix) -> list[list[int]]:

@@ -19,8 +19,7 @@ from .forms import Character
 from .groups import Group, GroupElement, product_group
 from .phases import Phase
 
-__all__ = ["PauliOperator", "PauliVector", "pauli_mul", "beta", "embed",
-           "extract_slot"]
+__all__ = ["PauliOperator", "PauliVector", "beta", "embed", "extract_slot"]
 
 
 @dataclass(frozen=True)
@@ -128,10 +127,6 @@ class PauliOperator:
     def __repr__(self) -> str:
         return (f"Pauli({self.phase.as_string()}; X{self.x.residues}"
                 f" Z{self.z.residues})")
-
-
-def pauli_mul(p: PauliOperator, q: PauliOperator) -> PauliOperator:
-    return p * q
 
 
 def embed(p: PauliOperator, slot: int, n: int) -> PauliOperator:

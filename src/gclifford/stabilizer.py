@@ -31,6 +31,9 @@ when a bound on every intermediate value fits in 63 bits, and otherwise
 hold Python integers (dtype=object) running the same code.  Phases become
 ``Phase`` values only at the boundary.  Correctness is established against
 the dense oracle rather than by theory alone.
+
+Circuits run through :func:`circuits.interpret`; a sampled measurement
+collapses the state in place, and only enumeration clones it per branch.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ from math import gcd, lcm
 
 import numpy as np
 
+from .circuits import (Circuit, MagicPrepOp, interpret, sample_outcome,
+                       sample_trajectory)
 from .clifford import Gate, gate_tableau
 from .errors import BackendCapabilityError
 from .forms import Character
@@ -299,25 +304,16 @@ class StabilizerState:
         outcomes = sorted((cls + j * (order // t0)) % order for j in range(t0))
         return outcomes, Fraction(1, t0), (v, correction, order, t0)
 
-    def measure(self, vec: PauliVector, rng=None, forced: int | None = None):
+    def measure(self, vec: PauliVector, rng=None):
         """Measure a Pauli vector observable; returns (outcome, probability).
 
         The observable's canonical unitary has exact order m; outcomes are
-        exponents s with eigenvalue exp(2*pi*i*s/m).  With ``forced`` the
-        given branch is projected instead of sampling.
+        exponents s with eigenvalue exp(2*pi*i*s/m), drawn from ``rng`` by
+        the interpreter's rule (:func:`circuits.sample_outcome`).
         """
         outcomes, prob, support = self.outcome_support(vec)
-        if forced is not None:
-            if forced not in outcomes:
-                raise ValueError(f"outcome {forced} has probability zero")
-            s = forced
-        elif len(outcomes) == 1:
-            s = outcomes[0]
-        else:
-            from .dense import sample_outcome
-            if rng is None:
-                rng = _random.Random()
-            s = sample_outcome(rng, [(o, prob) for o in outcomes])
+        s, _ = sample_outcome(rng if rng is not None else _random.Random(),
+                              [(o, prob) for o in outcomes])
         self._collapse(support, s)
         return s, prob
 
@@ -401,65 +397,40 @@ class StabilizerState:
                 f"stabilizer group has order {size}, expected {self.big.order}")
 
 
+class _Backend:
+    """The stabilizer backend as :func:`circuits.interpret` drives it."""
+
+    unit = Fraction(1)
+
+    @staticmethod
+    def apply(state: StabilizerState, gate: Gate, slots) -> StabilizerState:
+        state.apply_gate(gate, slots)
+        return state
+
+    @staticmethod
+    def outcomes(state: StabilizerState, vec: PauliVector):
+        outcomes, prob, support = state.outcome_support(vec)
+        return [(s, prob) for s in outcomes], support
+
+    @staticmethod
+    def project(state: StabilizerState, support, outcome: int, last: bool):
+        branch = state if last else state.clone()
+        branch._collapse(support, outcome)
+        return branch
+
+
+def _initial_state(circuit: Circuit) -> StabilizerState:
+    if any(isinstance(op, MagicPrepOp) for op in circuit.ops):
+        raise BackendCapabilityError(
+            "magic state preparation is not a stabilizer operation")
+    return StabilizerState(circuit.base, circuit.n)
+
+
 def run_circuit(circuit, rng=None, seed=None):
     """Run a Clifford circuit on the stabilizer backend."""
-    from .circuits import (CorrectionOp, GateOp, MagicPrepOp, MeasureOp,
-                           resolve_correction)
-    from .dense import embed_vector
-    if rng is None:
-        rng = _random.Random(seed)
-    state = StabilizerState(circuit.base, circuit.n)
-    record: dict[str, int] = {}
-    for op in circuit.ops:
-        if isinstance(op, MagicPrepOp):
-            raise BackendCapabilityError(
-                "magic state preparation is not a stabilizer operation")
-        if isinstance(op, GateOp):
-            state.apply_gate(op.gate, op.slots)
-        elif isinstance(op, MeasureOp):
-            vec = embed_vector(op.observable(circuit.base), op.slots,
-                               circuit.base, circuit.n)
-            outcome, _ = state.measure(vec, rng=rng)
-            record[op.register] = outcome
-        elif isinstance(op, CorrectionOp):
-            gate = resolve_correction(op, circuit.base, record)
-            state.apply_gate(gate, op.slots)
-        else:
-            raise TypeError(f"unknown op {op!r}")
-    return state, record
+    return sample_trajectory(circuit, _Backend, _initial_state(circuit), rng, seed)
 
 
 def enumerate_branches(circuit):
     """Every measurement branch as (record, StabilizerState, exact prob)."""
-    from .circuits import (CorrectionOp, GateOp, MagicPrepOp, MeasureOp,
-                           resolve_correction)
-    from .dense import embed_vector
-    results = []
-
-    def walk(state: StabilizerState, idx: int, record: dict, prob: Fraction):
-        for i in range(idx, len(circuit.ops)):
-            op = circuit.ops[i]
-            if isinstance(op, MagicPrepOp):
-                raise BackendCapabilityError(
-                    "magic state preparation is not a stabilizer operation")
-            if isinstance(op, GateOp):
-                state.apply_gate(op.gate, op.slots)
-            elif isinstance(op, CorrectionOp):
-                gate = resolve_correction(op, circuit.base, record)
-                state.apply_gate(gate, op.slots)
-            elif isinstance(op, MeasureOp):
-                vec = embed_vector(op.observable(circuit.base), op.slots,
-                                   circuit.base, circuit.n)
-                outcomes, p, support = state.outcome_support(vec)
-                for s in outcomes:
-                    # no later branch needs the state, so the last takes it
-                    branch = state if s == outcomes[-1] else state.clone()
-                    branch._collapse(support, s)
-                    walk(branch, i + 1, {**record, op.register: s}, prob * p)
-                return
-            else:
-                raise TypeError(f"unknown op {op!r}")
-        results.append((record, state, prob))
-
-    walk(StabilizerState(circuit.base, circuit.n), 0, {}, Fraction(1))
-    return results
+    return interpret(circuit, _Backend, _initial_state(circuit))

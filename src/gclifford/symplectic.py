@@ -3,10 +3,13 @@ symplectic map to Fourier, quadratic-phase and automorphism gates.
 
 Vectors over L = G x G^ are residue tuples of length 2m (element part
 first); the commutation pairing is
-``beta((g0,c0),(g1,c1)) = c0(g1) - c1(g0)``.  The decomposition clears one
-pivot pair (X_t, Z^_t) per round by left-multiplying the working matrix
-with exact gate images, asserting the expected shape after every step;
-the emitted gate list is the reversed inverse of the moves.
+``beta((g0,c0),(g1,c1)) = c0(g1) - c1(g0)``; a matrix preserves it when
+C^T J C == J mod lcm(q) in integers (``clifford.preserves_pairing``).
+The decomposition clears one pivot pair (X_t, Z^_t) per round by
+left-multiplying the working matrix with exact gate images
+(``clifford.gate_image``), asserting the expected shape and the pairing
+after every step; the emitted gate list is the reversed inverse of the
+moves.
 
 Fourier moves on a strict subset of the factors are not generator gates;
 they are synthesized with the split-subgroup circuit (two full Fourier
@@ -21,21 +24,22 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .clifford import (AutomorphismGate, CliffordTableau, FourierGate, Gate,
-                       PauliGate, QuadraticGate, doubled_group, gate_inverse,
-                       gate_pauli, sequence_tableau)
+                       PauliGate, QuadraticGate, doubled_group, gate_image,
+                       gate_inverse, gate_pauli, preserves_pairing,
+                       sequence_tableau)
 from .elementary import column_clear_moves, move_to_hom
 from .errors import (NotExtendableError, NotSymplecticError, ReductionError)
 from .forms import (Character, QuadraticForm, SymmetricBilinearForm,
                     bilinear_from_hom, induced_hom, i_xi_matrix, lift_bilinear,
-                    polarize, standard_nondegenerate_form)
+                    standard_nondegenerate_form)
 from .groups import (Group, GroupElement, HomMatrix, invert_automorphism,
                      is_automorphism)
-from .intmat import stab_multiplier
+from .intmat import mat_mul, stab_multiplier
 from .pauli import PauliOperator
 from .phases import Phase
 
 __all__ = [
-    "SymplecticMap", "is_symplectic", "gate_image", "sequence_image",
+    "SymplecticMap", "is_symplectic", "sequence_image",
     "tableau_image", "extend_to_automorphism", "decompose",
     "decompose_clifford", "random_symplectic", "split_fourier_gates",
 ]
@@ -77,71 +81,20 @@ def beta_residues(orders, u, v) -> Phase:
 
 
 def is_symplectic(sigma: SymplecticMap) -> bool:
-    if not is_automorphism(sigma.matrix):
-        return False
-    orders = sigma.group.orders
-    m = len(orders)
-    cols = [[sigma.matrix.entries[r][c] for r in range(2 * m)] for c in range(2 * m)]
-    units = [[1 if r == c else 0 for r in range(2 * m)] for c in range(2 * m)]
-    for a in range(2 * m):
-        for b in range(a + 1, 2 * m):
-            if beta_residues(orders, cols[a], cols[b]) != \
-                    beta_residues(orders, units[a], units[b]):
-                return False
-    return True
+    return (is_automorphism(sigma.matrix)
+            and preserves_pairing(sigma.group.orders, sigma.matrix.entries))
 
 
-def _block_matrix(group: Group, xx, xz, zx, zz) -> HomMatrix:
-    m = group.num_factors
-    big = doubled_group(group)
-    entries = []
-    for i in range(m):
-        entries.append(tuple(xx[i]) + tuple(xz[i]))
-    for i in range(m):
-        entries.append(tuple(zx[i]) + tuple(zz[i]))
-    return HomMatrix(big, big, tuple(entries))
-
-
-def _zero_block(m):
-    return [[0] * m for _ in range(m)]
-
-
-def _identity_block(m):
-    return [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-
-def gate_image(gate: Gate, group: Group) -> HomMatrix:
-    """The action of a generator gate on Pauli vectors over G x G^."""
-    m = group.num_factors
-    if isinstance(gate, AutomorphismGate):
-        tau = gate.tau
-        inv_dual = invert_automorphism(tau).dual()
-        return _block_matrix(group, [list(r) for r in tau.entries], _zero_block(m),
-                             _zero_block(m), [list(r) for r in inv_dual.entries])
-    if isinstance(gate, QuadraticGate):
-        b = induced_hom(polarize(gate.form))
-        return _block_matrix(group, _identity_block(m), _zero_block(m),
-                             [list(r) for r in b.entries], _identity_block(m))
-    if isinstance(gate, FourierGate):
-        if gate.dagger:
-            from .clifford import fourier_plain_inverse
-            return gate_image(FourierGate(fourier_plain_inverse(gate.matrix)), group)
-        mat = gate.matrix
-        neg_inv_dual = [[-v for v in row]
-                        for row in invert_automorphism(mat).dual().entries]
-        return _block_matrix(group, _zero_block(m), [list(r) for r in mat.entries],
-                             neg_inv_dual, _zero_block(m))
-    if isinstance(gate, PauliGate):
-        return HomMatrix.identity(doubled_group(group))
-    raise TypeError(f"gate {gate!r} has no single-group symplectic image")
+def _image(gates, group: Group) -> HomMatrix:
+    acc = HomMatrix.identity(doubled_group(group))
+    for gate in gates:
+        acc = gate_image(gate, group).compose(acc)
+    return acc
 
 
 def sequence_image(gates, group: Group) -> SymplecticMap:
     """Image of a gate list applied first-to-last."""
-    acc = HomMatrix.identity(doubled_group(group))
-    for gate in gates:
-        acc = gate_image(gate, group).compose(acc)
-    return SymplecticMap(group, acc)
+    return SymplecticMap(group, _image(gates, group))
 
 
 def tableau_image(tableau: CliffordTableau) -> SymplecticMap:
@@ -215,33 +168,13 @@ class _Reduction:
             raise ReductionError(f"symplectic reduction: {msg}")
 
     def apply(self, gates: list[Gate]) -> None:
-        image = HomMatrix.identity(doubled_group(self.group))
-        for gate in gates:
-            image = gate_image(gate, self.group).compose(image)
-        rows = 2 * self.m
-        new = [[0] * rows for _ in range(rows)]
-        for i in range(rows):
-            erow = image.entries[i]
-            qi = self.lorders[i]
-            for j in range(rows):
-                new[i][j] = sum(erow[k] * self.mat[k][j] for k in range(rows)) % qi
-        self.mat = new
+        new = mat_mul(_image(gates, self.group).entries, self.mat)
+        self.mat = [[v % q for v in row] for row, q in zip(new, self.lorders)]
         self.applied.extend(gates)
-        self._assert_pairing_preserved()
-
-    def _assert_pairing_preserved(self) -> None:
         # every intermediate matrix must stay symplectic; the moves are
         # automorphism images, so only the pairing needs re-checking
-        cols = [[self.mat[r][c] for r in range(2 * self.m)]
-                for c in range(2 * self.m)]
-        units = [[1 if r == c else 0 for r in range(2 * self.m)]
-                 for c in range(2 * self.m)]
-        for a in range(2 * self.m):
-            for b in range(a + 1, 2 * self.m):
-                if beta_residues(self.orders, cols[a], cols[b]) != \
-                        beta_residues(self.orders, units[a], units[b]):
-                    raise ReductionError(
-                        "an intermediate matrix stopped being symplectic")
+        if not preserves_pairing(self.orders, self.mat):
+            raise ReductionError("an intermediate matrix stopped being symplectic")
 
     def column(self, j: int) -> list[int]:
         return [self.mat[i][j] for i in range(2 * self.m)]
@@ -277,9 +210,7 @@ class _Reduction:
                        "combine step missed the pair ideal")
 
         # Swap the remaining X and Z^ blocks with a (partial) Fourier move.
-        image = HomMatrix.identity(doubled_group(self.group))
-        for gate in fourier_gates:
-            image = gate_image(gate, self.group).compose(image)
+        image = _image(fourier_gates, self.group)
         for i in range(t):
             for pos in (i, m + i):
                 expected = [1 if r == pos else 0 for r in range(2 * m)]
@@ -408,25 +339,18 @@ def decompose_clifford(tableau: CliffordTableau) -> list[Gate]:
     seq = decompose(tableau_image(tableau))
     partial = sequence_tableau(seq, group)
     residue = tableau.compose(partial.inverse())
-    n = group.num_factors
-    chi_res = []
-    g_res = []
-    for i in range(n):
-        img = residue.x_images[i]
-        if img.vector() != PauliOperator.x_shift(group.generator(i)).vector():
-            raise ReductionError("residue is not a Pauli conjugation")
-        val = img.phase.frac * group.orders[i]
+    if not residue.vector_matrix().is_identity():
+        raise ReductionError("residue is not a Pauli conjugation")
+    chi_res, g_res = [], []
+    for img, imgz, q in zip(residue.x_images, residue.z_images, group.orders):
+        val = img.phase.frac * q
         if val.denominator != 1:
             raise ReductionError("residue phase is not a character value")
-        chi_res.append(int(val) % group.orders[i])
-        imgz = residue.z_images[i]
-        if imgz.vector() != PauliOperator.z_char(
-                Character.generator(group, i)).vector():
-            raise ReductionError("residue is not a Pauli conjugation")
-        val = (-imgz.phase).frac * group.orders[i]
+        chi_res.append(int(val) % q)
+        val = (-imgz.phase).frac * q
         if val.denominator != 1:
             raise ReductionError("residue phase is not an element value")
-        g_res.append(int(val) % group.orders[i])
+        g_res.append(int(val) % q)
     pauli = PauliOperator(group, Phase(), GroupElement(group, tuple(g_res)),
                           Character(group, tuple(chi_res)))
     if gate_pauli(pauli) != residue:

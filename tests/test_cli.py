@@ -282,6 +282,27 @@ def test_one_slot_cx_exit_2(tmp_path):
     assert code == 2 and "cx gate acts on 2 slots" in text, text
 
 
+@pytest.mark.parametrize("op, message", [
+    # a correction builds a gate over the base group, so it takes one slot
+    ({"op": "correct", "builtin": "x-neg", "args": ["m"], "slots": [0, 1]},
+     "correction acts on 1 slot"),
+    # a gate is read over its slots' group: a Z2xZ2 matrix on one Z2 slot
+    ({"op": "gate", "slots": [1], "gate": {"kind": "fourier", "dagger": False,
+                                           "matrix": [[1, 0], [0, 1]]}},
+     "matrix shape does not match"),
+])
+@pytest.mark.parametrize("backend", ["tableau", "dense"])
+def test_op_over_wrong_group_exit_2(tmp_path, op, message, backend):
+    doc = {"format_version": 1, "type": "circuit", "group": "2", "qudits": 2,
+           "operations": [{"op": "measure", "register": "m", "slots": [0],
+                           "x": [0], "z": [1]}, op]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    code, text = run_cli(["simulate", "--in", str(path), "--backend", backend,
+                          "--seed", "1"])
+    assert code == 2 and message in text, text
+
+
 def _fuzz_corpus():
     """(document, command lines) pairs; every document is valid as built,
     and each command line ends with the option that names its file."""

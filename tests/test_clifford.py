@@ -1,12 +1,12 @@
 import random
 
 import numpy as np
+import pytest
 
 from gclifford.clifford import (AutomorphismGate, CXGate, CliffordTableau,
                                 FourierGate, PauliGate, QuadraticGate,
                                 cx_matrix, fourier_plain_inverse,
-                                gate_automorphism, gate_fourier, gate_inverse,
-                                gate_quadratic, gate_tableau,
+                                gate_inverse, gate_tableau,
                                 sequence_tableau, two_local_factorize)
 from gclifford.dense import gate_matrix, tableau_faithful
 from gclifford.elementary import random_automorphism
@@ -56,12 +56,16 @@ def test_identity_tableau():
         p = random_pauli(g, rng)
         assert t.conjugate(p) == p
     t.validate()
+    # X_0 sent to Z_0, like Z_0 itself: the pairing is broken
+    bad = CliffordTableau(g, (t.z_images[0],) + t.x_images[1:], t.z_images)
+    with pytest.raises(ValueError, match="pairing"):
+        bad.validate()
 
 
 def test_automorphism_gate_examples():
     g = make_group([2, 2])
     tau = HomMatrix(g, g, ((1, 0), (1, 1)))
-    t = gate_automorphism(tau)
+    t = gate_tableau(AutomorphismGate(tau))
     x0 = PauliOperator.x_shift(g.element((1, 0)))
     img = t.conjugate(x0)
     assert img.phase.is_zero()
@@ -69,7 +73,7 @@ def test_automorphism_gate_examples():
     # identical to the CX tableau over Z2 x Z2
     base = make_group([2])
     assert t == gate_tableau(CXGate(), product_group(base, 2))
-    assert gate_automorphism(HomMatrix.identity(g)).is_identity()
+    assert gate_tableau(AutomorphismGate(HomMatrix.identity(g))).is_identity()
 
 
 def test_automorphism_gate_composition():
@@ -79,13 +83,13 @@ def test_automorphism_gate_composition():
         for _ in range(8):
             t1 = random_automorphism(g, rng)
             t2 = random_automorphism(g, rng)
-            assert gate_automorphism(t2.compose(t1)) == \
-                gate_automorphism(t2).compose(gate_automorphism(t1))
+            assert gate_tableau(AutomorphismGate(t2.compose(t1))) == \
+                gate_tableau(AutomorphismGate(t2)).compose(gate_tableau(AutomorphismGate(t1)))
 
 
 def test_quadratic_gate_examples():
     z2 = make_group([2])
-    t = gate_quadratic(QuadraticForm.diagonal(z2, (1,)))
+    t = gate_tableau(QuadraticGate(QuadraticForm.diagonal(z2, (1,))))
     img = t.conjugate(PauliOperator.x_shift(z2.element((1,))))
     # X -> i * X * Z, the qubit S conjugation
     assert img.phase == Phase(1, 4)
@@ -93,9 +97,9 @@ def test_quadratic_gate_examples():
     rng = random.Random(11)
     for orders in GROUPS:
         g = make_group(orders)
-        assert gate_quadratic(QuadraticForm.zero(g)).is_identity()
+        assert gate_tableau(QuadraticGate(QuadraticForm.zero(g))).is_identity()
         form = random_quadratic(g, rng)
-        tab = gate_quadratic(form)
+        tab = gate_tableau(QuadraticGate(form))
         for i in range(g.num_factors):
             z = PauliOperator.z_char(Character.generator(g, i))
             assert tab.conjugate(z) == z
@@ -103,7 +107,7 @@ def test_quadratic_gate_examples():
 
 def test_fourier_gate_qubit():
     z2 = make_group([2])
-    t = gate_fourier(HomMatrix.identity(z2))
+    t = gate_tableau(FourierGate(HomMatrix.identity(z2)))
     x = PauliOperator.x_shift(z2.element((1,)))
     z = PauliOperator.z_char(Character(z2, (1,)))
     assert t.conjugate(x) == z
@@ -124,8 +128,8 @@ def test_fourier_squared_is_negation():
         g = make_group(orders)
         for _ in range(4):
             m = random_iso_matrix(g, rng)
-            t = gate_fourier(m)
-            assert t.compose(t) == gate_automorphism(_f_squared_matrix(m))
+            t = gate_tableau(FourierGate(m))
+            assert t.compose(t) == gate_tableau(AutomorphismGate(_f_squared_matrix(m)))
 
 
 def test_fourier_dagger_matches_plain_inverse():
@@ -133,8 +137,8 @@ def test_fourier_dagger_matches_plain_inverse():
     for orders in GROUPS:
         g = make_group(orders)
         m = random_iso_matrix(g, rng)
-        t = gate_fourier(m)
-        tdag = gate_fourier(m, dagger=True)
+        t = gate_tableau(FourierGate(m))
+        tdag = gate_tableau(FourierGate(m, True))
         assert t.compose(tdag).is_identity()
         assert tdag.compose(t).is_identity()
         # and densely: F_{m'} equals F_m^dagger entrywise
@@ -277,7 +281,6 @@ def test_random_sequences_match_dense():
 def test_triple_product_tableau_is_identity():
     # tableau equality is exactly the up-to-global-phase statement
     from gclifford.forms import i_xi_matrix, is_nondegenerate
-    from gclifford.clifford import gate_automorphism
     rng = random.Random(53)
     for orders in [(2,), (3,), (4,), (4, 2)]:
         g = make_group(orders)
@@ -285,12 +288,12 @@ def test_triple_product_tableau_is_identity():
         forms += [f for f in (random_quadratic(g, rng) for _ in range(12))
                   if is_nondegenerate(f)][:2]
         for xi in forms:
-            f_tab = gate_fourier(i_xi_matrix(xi))
-            s_tab = gate_quadratic(xi)
+            f_tab = gate_tableau(FourierGate(i_xi_matrix(xi)))
+            s_tab = gate_tableau(QuadraticGate(xi))
             fs = f_tab.compose(s_tab)
             assert fs.compose(fs).compose(fs).is_identity()
             # with a symmetric iso the squared Fourier is plain negation
             neg = HomMatrix(g, g, tuple(
                 tuple(-1 if i == j else 0 for j in range(g.num_factors))
                 for i in range(g.num_factors)))
-            assert f_tab.compose(f_tab) == gate_automorphism(neg)
+            assert f_tab.compose(f_tab) == gate_tableau(AutomorphismGate(neg))

@@ -6,12 +6,14 @@ import pytest
 
 from gclifford.circuits import Circuit, CorrectionOp, GateOp, MagicPrepOp, MeasureOp
 from gclifford.clifford import (AutomorphismGate, CXGate, FourierGate,
-                                QuadraticGate)
+                                QuadraticGate, gate_tableau)
+from gclifford.dense import apply_gate as dense_apply_gate
 from gclifford.dense import (basis_state, element_index,
                              enumerate_branches, gate_matrix,
                              measurement_projections, run_circuit,
                              states_equal_up_to_phase)
-from gclifford.errors import BackendCapabilityError, ResourceCapError
+from gclifford.errors import (BackendCapabilityError, GroupMismatchError,
+                              ResourceCapError)
 from gclifford.forms import Character
 from gclifford.groups import HomMatrix, make_group, product_group
 from gclifford.pauli import PauliVector
@@ -187,6 +189,17 @@ def test_seed_determinism_both_backends():
     assert t1 == t2
     # shared sampling discipline: identical seeds agree across backends
     assert d1 == t1
+    # a certain outcome draws nothing on either backend, so the random
+    # measurement after it sees the same draw
+    z2 = make_group([2])
+    certain_first = Circuit(z2, 1, (
+        MeasureOp("a", (0,), (0,), (1,)),
+        GateOp(FourierGate(HomMatrix.identity(z2)), (0,)),
+        MeasureOp("b", (0,), (0,), (1,)),
+    ))
+    for seed in range(200):
+        assert run_circuit(certain_first, seed=seed)[1] == \
+            tableau_run(certain_first, seed=seed)[1], seed
 
 
 def test_magic_prep_rejected_on_tableau_backend():
@@ -215,6 +228,21 @@ def test_circuit_validation():
             GateOp(FourierGate(HomMatrix.identity(z2)), (0,)),
             MagicPrepOp(0, (((0,), "0/1"), ((1,), "1/8"))),
         ))  # prep after a gate on the same slot
+    z4_fourier = FourierGate(HomMatrix.identity(make_group([4])))
+    with pytest.raises(GroupMismatchError):
+        Circuit(z2, 1, (GateOp(z4_fourier, (0,)),))  # gate over another group
+    with pytest.raises(ValueError, match="correction acts on 1 slot"):
+        Circuit(z2, 2, (
+            MeasureOp("m", (0,), (0,), (1,)),
+            CorrectionOp("x-neg", ("m",), (0, 1)),
+        ))
+    # the backends reject the same gate when applied directly
+    with pytest.raises(GroupMismatchError):
+        gate_tableau(z4_fourier, z2)
+    with pytest.raises(GroupMismatchError):
+        StabilizerState(z2, 1).apply_gate(z4_fourier, (0,))
+    with pytest.raises(GroupMismatchError):
+        dense_apply_gate(basis_state(z2, (0,)), z4_fourier, (0,), z2, 1)
 
 
 def test_stabilizer_gate_application_matches_dense():

@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gclifford import stabilizer
-from gclifford.circuits import GateOp, MeasureOp, resolve_correction
+from gclifford.circuits import (GateOp, MeasureOp, embed_vector,
+                                resolve_correction)
 from gclifford.clifford import (CXGate, FourierGate, PauliGate, QuadraticGate,
                                 gate_tableau)
-from gclifford.dense import embed_vector
 from gclifford.forms import Character, QuadraticForm
 from gclifford.groups import Group, GroupElement, HomMatrix, product_group
 from gclifford.intmat import ext_gcd

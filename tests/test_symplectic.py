@@ -1,10 +1,12 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
 
 from gclifford.clifford import (FourierGate, PauliGate, QuadraticGate,
-                                gate_tableau, sequence_tableau)
+                                gate_tableau, preserves_pairing,
+                                sequence_tableau)
 from gclifford.elementary import random_automorphism
 from gclifford.errors import (NotExtendableError, NotSymplecticError)
 from gclifford.groups import HomMatrix, make_group
@@ -42,7 +44,7 @@ def test_beta_violation_detected():
     assert is_symplectic(worse) == (_brute_symplectic(worse))
 
 
-def _brute_symplectic(sig):
+def _brute_pairing(sig):
     from gclifford.symplectic import beta_residues
     g = sig.group
     m = g.num_factors
@@ -55,8 +57,52 @@ def _brute_symplectic(sig):
             cb = [sig.matrix.entries[r][b] for r in range(2 * m)]
             if beta_residues(g.orders, ca, cb) != beta_residues(g.orders, ea, eb):
                 ok = False
+    return ok
+
+
+def _brute_symplectic(sig):
     from gclifford.groups import is_automorphism
-    return ok and is_automorphism(sig.matrix)
+    return _brute_pairing(sig) and is_automorphism(sig.matrix)
+
+
+def _assert_matches_reference(sig):
+    """The integer pairing check and ``is_symplectic`` against the
+    ``Fraction`` pairing of every column pair; returns the verdict."""
+    assert preserves_pairing(sig.group.orders, sig.matrix.entries) == \
+        _brute_pairing(sig), sig.matrix
+    verdict = is_symplectic(sig)
+    assert verdict == _brute_symplectic(sig), sig.matrix
+    return verdict
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_is_symplectic_matches_reference_on_every_2x2(q):
+    zq = make_group([q])
+    big = doubled_group(zq)
+    verdicts = set()
+    for e in itertools.product(range(q), repeat=4):
+        sig = SymplecticMap(zq, HomMatrix(big, big, (e[:2], e[2:])))
+        verdicts.add(_assert_matches_reference(sig))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("orders", [(4, 2), (3, 3)])
+def test_is_symplectic_matches_reference_on_random_4x4(orders):
+    rng = random.Random(str(orders))
+    g = make_group(orders)
+    big = doubled_group(g)
+    q = big.orders
+    verdicts = set()
+    for k in range(200):
+        if k % 2:
+            sig = random_symplectic(g, rng, 4)
+        else:
+            # any homomorphism: entry (i, j) a multiple of q_i / gcd(q_i, q_j)
+            sig = SymplecticMap(g, HomMatrix(big, big, tuple(
+                tuple(q[i] // gcd(q[i], q[j]) * rng.randrange(gcd(q[i], q[j]))
+                      for j in range(4)) for i in range(4))))
+        verdicts.add(_assert_matches_reference(sig))
+    assert verdicts == {True, False}
 
 
 def test_gate_images_match_tableaux():
