@@ -41,26 +41,27 @@ def cmd_decompose(args, stdout) -> int:
     doc = cio.load_document(args.input)
     kind = doc.get("type") if isinstance(doc, dict) else type(doc).__name__
     if kind == "symplectic_map":
-        sigma = cio.symplectic_from_json(doc)
-        group = sigma.group
-        seq = decompose(sigma)
-        if args.verify:
-            if sequence_image(seq, group).matrix.entries != sigma.matrix.entries:
-                stdout.write("verification failed: image mismatch\n")
-                return EXIT_VERIFY_FAILED
+        target = cio.symplectic_from_json(doc)
     elif kind == "clifford_tableau":
-        tableau = cio.tableau_from_json(doc)
-        group = tableau.group
-        seq = decompose_clifford(tableau)
-        if args.verify:
-            from .clifford import sequence_tableau
-            if sequence_tableau(seq, group) != tableau:
-                stdout.write("verification failed: tableau mismatch\n")
-                return EXIT_VERIFY_FAILED
+        target = cio.tableau_from_json(doc)
     else:
         raise ValueError(f"cannot decompose a {kind!r} document")
+    group = target.group
     if args.group and parse_group(args.group) != group:
         raise ValueError("--group does not match the input document")
+    if kind == "symplectic_map":
+        seq = decompose(target)
+        if args.verify:
+            if sequence_image(seq, group).matrix.entries != target.matrix.entries:
+                stdout.write("verification failed: image mismatch\n")
+                return EXIT_VERIFY_FAILED
+    else:
+        seq = decompose_clifford(target)
+        if args.verify:
+            from .clifford import sequence_tableau
+            if sequence_tableau(seq, group) != target:
+                stdout.write("verification failed: tableau mismatch\n")
+                return EXIT_VERIFY_FAILED
     _emit(cio.sequence_to_json(seq, group), args.out, stdout)
     counts: dict[str, int] = {}
     for gate in seq:

@@ -10,13 +10,14 @@ with ``q_j`` the source order and ``q_i`` the target order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 
 from .errors import GroupMismatchError, NotInvertibleError
 from .intmat import (bezout, identity_matrix, kernel_basis, mat_mul,
-                     smith_normal_form, solve_linear)
+                     smith_normal_form)
 
 __all__ = [
     "Group", "GroupElement", "HomMatrix", "Isomorphism",
@@ -259,23 +260,35 @@ def _kernel_witness(m: HomMatrix) -> tuple[int, ...] | None:
     return None
 
 
+# Entries of the invert_automorphism memo: the compiler inverts a few
+# hundred distinct matrices per decomposition, most of them many times.
+_INVERSE_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_INVERSE_MEMO_SIZE)
 def invert_automorphism(m: HomMatrix) -> HomMatrix:
-    """Two-sided inverse of an automorphism; NotInvertibleError otherwise."""
+    """Two-sided inverse of an automorphism; NotInvertibleError otherwise.
+
+    One Smith normal form ``U [M | diag(q)] V = S`` of the lifted relation
+    matrix decides and inverts at once: the map is onto exactly when every
+    ``s_ii`` is 1, and then ``V[:n, :n] U[:, i]`` solves ``M x = e_i``
+    modulo the orders, giving column i of the (unique) inverse.
+
+    Results are memoized on the frozen matrix, keeping the 256 most
+    recently used (``_INVERSE_MEMO_SIZE``); ``invert_automorphism.cache_info()``
+    reports the hits and misses.  Exceptions are not memoized, so a
+    non-invertible matrix raises with its kernel witness on every call.
+    """
     if m.source != m.target:
         raise GroupMismatchError("only endomorphisms can be inverted")
     group = m.source
     n = group.num_factors
-    lifted = _lifted_relation_matrix(m)
-    cols = []
-    for i in range(n):
-        rhs = [1 if k == i else 0 for k in range(n)]
-        sol = solve_linear(lifted, rhs)
-        if sol is None:
-            raise NotInvertibleError("homomorphism is not surjective",
-                                     witness=_kernel_witness(m))
-        cols.append(sol[:n])
-    entries = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    inv = HomMatrix(group, group, entries)
+    u, s, v = smith_normal_form(_lifted_relation_matrix(m))
+    if any(s[i][i] != 1 for i in range(n)):
+        raise NotInvertibleError("homomorphism is not surjective",
+                                 witness=_kernel_witness(m))
+    entries = mat_mul([row[:n] for row in v[:n]], u)
+    inv = HomMatrix(group, group, tuple(tuple(r) for r in entries))
     if not m.compose(inv).is_identity() or not inv.compose(m).is_identity():
         raise NotInvertibleError("no two-sided inverse exists",
                                  witness=_kernel_witness(m))

@@ -34,7 +34,7 @@ from .forms import (Character, QuadraticForm, SymmetricBilinearForm,
                     standard_nondegenerate_form)
 from .groups import (Group, GroupElement, HomMatrix, invert_automorphism,
                      is_automorphism)
-from .intmat import mat_mul, stab_multiplier
+from .intmat import identity_matrix, mat_mul, stab_multiplier
 from .pauli import PauliOperator
 from .phases import Phase
 
@@ -86,10 +86,14 @@ def is_symplectic(sigma: SymplecticMap) -> bool:
 
 
 def _image(gates, group: Group) -> HomMatrix:
-    acc = HomMatrix.identity(doubled_group(group))
+    """Product of the gate images as reduced integer rows, validated once."""
+    lorders = group.orders * 2
+    acc = identity_matrix(len(lorders))
     for gate in gates:
-        acc = gate_image(gate, group).compose(acc)
-    return acc
+        new = mat_mul(gate_image(gate, group).entries, acc)
+        acc = [[v % q for v in row] for row, q in zip(new, lorders)]
+    big = doubled_group(group)
+    return HomMatrix(big, big, tuple(tuple(r) for r in acc))
 
 
 def sequence_image(gates, group: Group) -> SymplecticMap:
@@ -167,8 +171,11 @@ class _Reduction:
         if not cond:
             raise ReductionError(f"symplectic reduction: {msg}")
 
-    def apply(self, gates: list[Gate]) -> None:
-        new = mat_mul(_image(gates, self.group).entries, self.mat)
+    def apply(self, gates: list[Gate], image: HomMatrix | None = None) -> None:
+        """Left-multiply by the gates' image (``image``, when already built)."""
+        if image is None:
+            image = _image(gates, self.group)
+        new = mat_mul(image.entries, self.mat)
         self.mat = [[v % q for v in row] for row, q in zip(new, self.lorders)]
         self.applied.extend(gates)
         # every intermediate matrix must stay symplectic; the moves are
@@ -221,7 +228,7 @@ class _Reduction:
                 self.check(image.entries[i][j] == 0 and
                            image.entries[m + i][m + j] == 0,
                            "partial Fourier image is not off-diagonal")
-        self.apply(fourier_gates)
+        self.apply(fourier_gates, image)
 
         # Map the pivot column's element part to the pivot generator.
         col = self.column(t)
@@ -364,7 +371,7 @@ def random_symplectic(group: Group, rng, length: int | None = None) -> Symplecti
     from .elementary import random_automorphism
     m = group.num_factors
     length = length if length is not None else 20 * m
-    acc = HomMatrix.identity(doubled_group(group))
+    gates: list[Gate] = []
     for _ in range(length):
         kind = rng.randrange(3)
         if kind == 0:
@@ -379,5 +386,5 @@ def random_symplectic(group: Group, rng, length: int | None = None) -> Symplecti
             gate = QuadraticGate(QuadraticForm(group, diag, cross, (0,) * n))
         else:
             gate = FourierGate(random_automorphism(group, rng))
-        acc = gate_image(gate, group).compose(acc)
-    return SymplecticMap(group, acc)
+        gates.append(gate)
+    return SymplecticMap(group, _image(gates, group))

@@ -70,6 +70,29 @@ def test_decompose_non_symplectic_exit_2(tmp_path):
     assert "NotSymplectic" in text
 
 
+def test_decompose_group_mismatch_checked_before_compiling(tmp_path, monkeypatch):
+    from gclifford import cli
+    from gclifford.circuits import tableau_to_json
+    from gclifford.clifford import CliffordTableau
+
+    def never(*_args):
+        raise AssertionError("compiled before the --group check")
+
+    monkeypatch.setattr(cli, "decompose", never)
+    monkeypatch.setattr(cli, "decompose_clifford", never)
+    g = make_group([4, 2])
+    sig_path = tmp_path / "sig.json"
+    dump_document(symplectic_to_json(g, random_symplectic(g, random.Random(3)).matrix.entries),
+                  sig_path)
+    tab_path = tmp_path / "tab.json"
+    dump_document(tableau_to_json(CliffordTableau.identity(g)), tab_path)
+    for path in (sig_path, tab_path):
+        code, text = run_cli(["decompose", "--in", str(path), "--verify",
+                              "--group", "2,4"])
+        assert code == 2, text
+        assert "--group does not match" in text
+
+
 def test_decompose_missing_file_exit_2(tmp_path):
     code, text = run_cli(["decompose", "--in", str(tmp_path / "nope.json")])
     assert code == 2

@@ -3,10 +3,13 @@ import random
 
 import pytest
 
+from gclifford import groups
+from gclifford.elementary import random_automorphism
 from gclifford.errors import GroupMismatchError, NotInvertibleError
-from gclifford.groups import (HomMatrix, canonicalize, hom_is_valid,
-                              invert_automorphism, is_automorphism,
+from gclifford.groups import (HomMatrix, _lifted_relation_matrix, canonicalize,
+                              hom_is_valid, invert_automorphism, is_automorphism,
                               make_group, parse_group, product_group)
+from gclifford.intmat import solve_linear
 
 
 def brute_force_bijective(m: HomMatrix) -> bool:
@@ -154,6 +157,82 @@ def test_invert_non_automorphism_raises_with_witness():
     w = err.value.witness
     assert w is not None
     assert m.apply(g.element(w)).is_zero() and any(w)
+
+
+def reference_inverse(m: HomMatrix) -> HomMatrix | None:
+    """The inverse column by column, one ``solve_linear`` (and one Smith
+    form) per column of the lifted relation matrix; None if some column
+    has no solution."""
+    n = m.source.num_factors
+    lifted = _lifted_relation_matrix(m)
+    cols = []
+    for i in range(n):
+        sol = solve_linear(lifted, [1 if k == i else 0 for k in range(n)])
+        if sol is None:
+            return None
+        cols.append(sol[:n])
+    return HomMatrix(m.source, m.source,
+                     tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
+
+
+def all_endomorphisms(g):
+    n = g.num_factors
+    rows = [list(itertools.product(range(q), repeat=n)) for q in g.orders]
+    for entries in itertools.product(*rows):
+        if hom_is_valid(g, g, entries):
+            yield HomMatrix(g, g, entries)
+
+
+@pytest.mark.parametrize("orders", [(2, 2), (4, 2), (3, 3), (6, 2)])
+def test_invert_matches_reference_exhaustive(orders):
+    g = make_group(orders)
+    bijections = 0
+    for m in all_endomorphisms(g):
+        ref = reference_inverse(m)
+        if ref is not None:
+            assert invert_automorphism(m) == ref
+            bijections += 1
+            continue
+        # a second call with an equal, distinct matrix raises again:
+        # exceptions are not memoized
+        for mat in (m, HomMatrix(g, g, m.entries)):
+            with pytest.raises(NotInvertibleError, match="not surjective") as err:
+                invert_automorphism(mat)
+            w = g.element(err.value.witness)
+            assert not w.is_zero() and m.apply(w).is_zero()
+    assert bijections == sum(brute_force_bijective(m) for m in all_endomorphisms(g))
+
+
+@pytest.mark.parametrize("orders", [(2,) * 6, (8, 4, 2, 2)])
+def test_invert_matches_reference_random(orders):
+    rng = random.Random(17)
+    g = make_group(orders)
+    for _ in range(50):
+        m = random_automorphism(g, rng)
+        assert invert_automorphism(m) == reference_inverse(m)
+
+
+def test_invert_runs_one_smith_form_and_memoizes(monkeypatch):
+    calls = []
+    real = groups.smith_normal_form
+
+    def counting(mat):
+        calls.append(len(mat))
+        return real(mat)
+
+    monkeypatch.setattr(groups, "smith_normal_form", counting)
+    invert_automorphism.cache_clear()
+    try:
+        g = make_group((8, 4, 2, 2, 2, 2))
+        m = random_automorphism(g, random.Random(5))
+        inv = invert_automorphism(m)
+        assert calls == [6]
+        assert invert_automorphism(HomMatrix(g, g, m.entries)) is inv
+        assert calls == [6]
+        info = invert_automorphism.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+    finally:
+        invert_automorphism.cache_clear()
 
 
 def test_dual_matrix():
