@@ -15,6 +15,7 @@ from math import gcd, lcm
 
 from .errors import NotExtendableError
 from .groups import Group, HomMatrix
+from .intmat import identity_matrix
 
 __all__ = [
     "transvection", "scaling", "factor_swap",
@@ -218,17 +219,18 @@ def _right_apply(orders, work, move) -> None:
 
 def random_automorphism(group: Group, rng, length: int | None = None) -> HomMatrix:
     """A random automorphism sampled as a product of random elementary
-    moves (membership guaranteed by construction; not uniform)."""
+    moves (membership guaranteed by construction; not uniform).  The moves
+    act as row operations on one integer matrix, validated once."""
     orders = group.orders
     n = group.num_factors
     length = length if length is not None else 6 * n
-    out = HomMatrix.identity(group)
+    work = identity_matrix(n)
     for _ in range(length):
         if n == 1 or rng.random() < 0.3:
             idx = rng.randrange(n)
             q = orders[idx]
             units = [u for u in range(1, q) if gcd(u, q) == 1]
-            out = scaling(group, idx, rng.choice(units)).compose(out)
+            _left_apply(orders, work, ("scale", idx, rng.choice(units)))
         else:
             dst = rng.randrange(n)
             src = rng.randrange(n)
@@ -236,5 +238,5 @@ def random_automorphism(group: Group, rng, length: int | None = None) -> HomMatr
                 src = rng.randrange(n)
             step = orders[dst] // gcd(orders[dst], orders[src])
             coeff = step * rng.randrange(orders[dst] // step)
-            out = transvection(group, dst, src, coeff).compose(out)
-    return out
+            _left_apply(orders, work, ("transvect", dst, src, coeff))
+    return HomMatrix(group, group, tuple(tuple(r) for r in work))

@@ -21,16 +21,22 @@ turned once into integer rows holding the images of the local generators,
 their phases and their cross matrix, and the local columns E of all
 generators map to E @ images with the product-form phase increment.
 
-Measurement works on the lattice spanned by the generator rows and the
-factor moduli.  A vectorized row echelon (per column, every other row is
-reduced by the row with the smallest entry until one pivot is left, the
-phases following the closed forms) answers membership queries exactly,
-finds the smallest power of the observable inside the stabilizer group,
-and yields the replacement generators after a collapse.  Arrays are int64
-when a bound on every intermediate value fits in 63 bits, and otherwise
-hold Python integers (dtype=object) running the same code.  Phases become
-``Phase`` values only at the boundary.  Correctness is established against
-the dense oracle rather than by theory alone.
+Measurement works on the lattice L spanned by the generator rows and the
+factor moduli.  L is isotropic of order |G|^n and the pairing on
+G^n x (G^)^n is nondegenerate, so L is its own annihilator: for an
+observable v of order q and the pairing values b_i / q of the generators
+against it, t v lies in L exactly when every t b_i is 0 mod q.  So the
+smallest stabilizer power t0 = q / gcd(q, b), which is also the number of
+outcomes, needs one matrix-vector product and no echelon.  A vectorized
+row echelon (per column, every other row is reduced by the row with the
+smallest entry until one pivot is left, the phases following the closed
+forms) serves the rest: the phase of t0 v as a generator product when
+t0 v is not the identity, and the replacement generators after a
+collapse, whose invariants it re-checks.  Arrays are int64 when a bound
+on every intermediate value fits in 63 bits, and otherwise hold Python
+integers (dtype=object) running the same code.  Phases become ``Phase``
+values only at the boundary.  Correctness is established against the
+dense oracle rather than by theory alone.
 
 Circuits run through :func:`circuits.interpret`; a sampled measurement
 collapses the state in place, and only enumeration clones it per branch.
@@ -104,22 +110,6 @@ def _conjugation_rows(tab) -> np.ndarray:
     half, T = _product_form(S)
     base = (np.array(phases, dtype=dtype) - half) % dq
     return np.hstack([U, base[:, None], T])
-
-
-def _divisors(n: int) -> list[int]:
-    """Ascending divisors of n > 0, from its factorization."""
-    divs = [1]
-    p = 2
-    while n > 1:
-        if p * p > n:
-            p = n
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        divs = [d * p ** i for d in divs for i in range(e + 1)]
-        p += 1
-    return sorted(divs)
 
 
 class StabilizerState:
@@ -289,20 +279,31 @@ class StabilizerState:
             raise AssertionError("canonical observable phase is not a "
                                  f"multiple of 1/{D}")
         correction = -(residue // order) % D
-        for t in _divisors(order):
-            witness = self._membership(t * v)
-            if witness is not None:
-                t0 = t
-                break
-        else:
-            raise AssertionError("no power of the observable is a stabilizer")
+        # pairing values of each generator against the observable, as
+        # integers over 1/order (exact: the observable has that order)
+        w = self._w
+        pair = (self.V[:, m:] @ (w * v[:m]) - self.V[:, :m] @ (w * v[m:])) % D * order
+        if (pair % D).any():
+            raise AssertionError("pairing against the observable is not "
+                                 "a multiple of 1/order")
+        bvals = [int(b) for b in pair // D % order]
+        # the stabilizer lattice is its own annihilator, so t v is in it
+        # exactly when t b_i = 0 mod order for every generator i
+        t0 = order // gcd(order, *bvals)
+        target = (t0 * v) % self._lorders
+        witness = self._membership(target) if target.any() else 0
+        if witness is None:
+            raise AssertionError(
+                f"power {t0} of the observable with residues "
+                f"{[int(a) for a in v]} annihilates every generator but is "
+                "not in the stabilizer lattice")
         power = (t0 * correction + t0 * (t0 - 1) // 2 * c) % D
         scaled = (power - witness) % D * order
         if scaled % (D * t0):
             raise AssertionError("outcome class is not an integer")
         cls = scaled // (D * t0) % (order // t0)
         outcomes = sorted((cls + j * (order // t0)) % order for j in range(t0))
-        return outcomes, Fraction(1, t0), (v, correction, order, t0)
+        return outcomes, Fraction(1, t0), (v, correction, order, t0, bvals)
 
     def measure(self, vec: PauliVector, rng=None):
         """Measure a Pauli vector observable; returns (outcome, probability).
@@ -319,40 +320,31 @@ class StabilizerState:
 
     def _collapse(self, support, outcome: int) -> None:
         """Project onto ``outcome`` of the observable whose support (from
-        :meth:`outcome_support`) is given; a no-op for a certain outcome."""
-        v, correction, order, t0 = support
+        :meth:`outcome_support`, with the generators' pairing values) is
+        given; a no-op for a certain outcome."""
+        v, correction, order, t0, bvals = support
         if t0 == 1:
             return
-        m, D = self.m, self.D
-        w = self._w
-        # pairing values of each generator against the observable, as
-        # integers over 1/order (exact: the observable has that order)
-        pair = (self.V[:, m:] @ (w * v[:m]) - self.V[:, :m] @ (w * v[m:])) % D * order
-        if (pair % D).any():
-            raise AssertionError("pairing against the observable is not "
-                                 "a multiple of 1/order")
-        bvals = [int(b) for b in pair // D % order]
+        D = self.D
         k = len(bvals)
-        if any(bvals):
-            first = next(j for j in range(k) if bvals[j])
-            g = bvals[first]
-            u = [0] * k
-            u[first] = 1
-            for j in range(first + 1, k):
-                if bvals[j]:
-                    g2, xc, yc = ext_gcd(g, bvals[j])
-                    u = [xc * val for val in u]
-                    u[j] += yc
-                    g = g2
-            # exponents are exact mod D, so the Bezout growth is cut there
-            u = np.array([val % D for val in u], dtype=self.dtype)
-            steps = np.array([b // g for b in bvals], dtype=self.dtype)
-            C = np.eye(k, dtype=self.dtype) - steps[:, None] * u
-            C = np.vstack([C, (order // gcd(g, order)) * u]) % D
-            C = C[(C != 0).any(1)]
-            V, P = self._combine(C, self.V, self.P)
-        else:
-            V, P = self.V, self.P
+        # t0 > 1, so some generator pairs nontrivially with the observable
+        first = next(j for j in range(k) if bvals[j])
+        g = bvals[first]
+        u = [0] * k
+        u[first] = 1
+        for j in range(first + 1, k):
+            if bvals[j]:
+                g2, xc, yc = ext_gcd(g, bvals[j])
+                u = [xc * val for val in u]
+                u[j] += yc
+                g = g2
+        # exponents are exact mod D, so the Bezout growth is cut there
+        u = np.array([val % D for val in u], dtype=self.dtype)
+        steps = np.array([b // g for b in bvals], dtype=self.dtype)
+        C = np.eye(k, dtype=self.dtype) - steps[:, None] * u
+        C = np.vstack([C, (order // gcd(g, order)) * u]) % D
+        C = C[(C != 0).any(1)]
+        V, P = self._combine(C, self.V, self.P)
         # the measured operator joins the group with its outcome phase
         self.V = np.vstack([V, v])
         self.P = np.append(P, (correction - outcome * (D // order)) % D)

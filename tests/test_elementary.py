@@ -1,11 +1,12 @@
 import random
+from math import gcd
 
 import pytest
 
 from gclifford.elementary import (automorphism_elementary_factors,
                                   column_clear_moves, factor_swap,
                                   move_to_hom, random_automorphism,
-                                  transvection)
+                                  scaling, transvection)
 from gclifford.errors import NotExtendableError
 from gclifford.groups import HomMatrix, is_automorphism, make_group
 
@@ -95,3 +96,40 @@ def test_random_automorphism_is_automorphism():
         g = make_group(orders)
         for _ in range(10):
             assert is_automorphism(random_automorphism(g, rng))
+
+
+def _compose_random_automorphism(group, rng, length=None):
+    """The sampler as one validated ``HomMatrix`` composition per move."""
+    orders = group.orders
+    n = group.num_factors
+    length = length if length is not None else 6 * n
+    out = HomMatrix.identity(group)
+    for _ in range(length):
+        if n == 1 or rng.random() < 0.3:
+            idx = rng.randrange(n)
+            q = orders[idx]
+            units = [u for u in range(1, q) if gcd(u, q) == 1]
+            out = scaling(group, idx, rng.choice(units)).compose(out)
+        else:
+            dst = rng.randrange(n)
+            src = rng.randrange(n)
+            while src == dst:
+                src = rng.randrange(n)
+            step = orders[dst] // gcd(orders[dst], orders[src])
+            coeff = step * rng.randrange(orders[dst] // step)
+            out = transvection(group, dst, src, coeff).compose(out)
+    return out
+
+
+@pytest.mark.parametrize("orders", [(2,) * 6, (8, 4, 2, 2), (4, 4, 2), (3, 3),
+                                    (2, 4) * 3])
+def test_random_automorphism_matches_composed_moves(orders):
+    """Same rng draws, same maps as composing one matrix per move."""
+    g = make_group(orders)
+    for seed in range(100):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for length in (None, 3):
+            got = random_automorphism(g, rng, length)
+            want = _compose_random_automorphism(g, ref_rng, length)
+            assert got == want, (orders, seed, length)
+            assert rng.getstate() == ref_rng.getstate(), (orders, seed, length)

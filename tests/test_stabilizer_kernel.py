@@ -434,3 +434,120 @@ def test_validate_names_its_witness():
     bad.V[2, 0] = 1
     with pytest.raises(AssertionError, match="generators 0 and 2 do not commute"):
         bad.validate()
+
+
+PAIRING_GROUPS = [(2,), (3,), (4,), (6,), (2, 3), (2, 4), (4, 2), (3, 3), (8, 2)]
+
+
+@st.composite
+def measured_sequences(draw):
+    """A base group, a register size and rounds of (random gates, observables
+    with an outcome pick each)."""
+    base = Group(draw(st.sampled_from(PAIRING_GROUPS)))
+    n = draw(st.integers(1, 3))
+    big = product_group(base, n)
+    rounds = []
+    for _ in range(draw(st.integers(1, 3))):
+        rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+        gates = random_clifford_circuit(base, n, rng, num_gates=draw(st.integers(0, 5)),
+                                        num_measurements=0).ops
+        observables = []
+        for _ in range(draw(st.integers(1, 2))):
+            x = tuple(draw(st.integers(0, q - 1)) for q in big.orders)
+            z = tuple(draw(st.integers(0, q - 1)) for q in big.orders)
+            observables.append((PauliVector(big, big.element(x), Character(big, z)),
+                                draw(st.integers(0, 2 ** 16))))
+        rounds.append((gates, observables))
+    return base, n, rounds
+
+
+def measure_both(state: StabilizerState, ref: ReferenceState, vec, pick=0):
+    """Measure ``vec`` on both engines with the same outcome; return the
+    stabilizer engine's support."""
+    outcomes, prob, support = state.outcome_support(vec)
+    ref_outcomes, ref_prob, ref_support = ref.outcome_support(vec)
+    assert (outcomes, prob) == (ref_outcomes, ref_prob), vec
+    s = outcomes[pick % len(outcomes)]
+    state._collapse(support, s)
+    ref.collapse(ref_support, s)
+    assert_same_groups(state, ref)
+    return support
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=measured_sequences())
+def test_pairing_rule_matches_divisor_loop(case):
+    """The smallest stabilizer power read off the pairing gives the outcomes,
+    probability and collapsed group of the divisor-loop reference."""
+    base, n, rounds = case
+    state, ref = StabilizerState(base, n), ReferenceState(base, n)
+    for gates, observables in rounds:
+        for op in gates:
+            state.apply_gate(op.gate, op.slots)
+            ref.apply_gate(op.gate, op.slots)
+        for vec, pick in observables:
+            measure_both(state, ref, vec, pick)
+    state.validate()
+
+
+def test_pairing_rule_partially_random_and_non_unit_gcd():
+    # over Z4, X^2 on |0> leaves Z^2 but not Z in the group: t0 = 2 of 4
+    base = Group((4,))
+    state, ref = StabilizerState(base, 1), ReferenceState(base, 1)
+    x2 = PauliVector(base, base.element((2,)), Character(base, (0,)))
+    z = PauliVector(base, base.zero(), Character(base, (1,)))
+    assert measure_both(state, ref, x2)[3] == 2
+    support = measure_both(state, ref, z, 1)
+    assert support[2:4] == (4, 2)
+    assert len(state.outcome_support(z)[0]) == 1
+    # over Z2xZ3, Z_0 pairs 3 and Z_1 pairs 2 with X in units of 1/6:
+    # neither is a unit, their gcd is, so t0 = 6
+    base = Group((2, 3))
+    state, ref = StabilizerState(base, 1), ReferenceState(base, 1)
+    x = PauliVector(base, base.element((1, 1)), Character(base, (0, 0)))
+    outcomes, prob, support = state.outcome_support(x)
+    assert (outcomes, prob, support[4]) == (list(range(6)), Fraction(1, 6), [3, 2])
+    measure_both(state, ref, x, 5)
+
+
+def test_measurement_echelon_rebuild_count(monkeypatch):
+    """A random outcome rebuilds the echelon once (in the collapse), a
+    certain one once (for its phase), a partially random one twice."""
+    rebuilds = []
+    original = StabilizerState._ensure_pivots
+
+    def counting(self):
+        if self._pivots is None:
+            rebuilds.append(1)
+        original(self)
+
+    monkeypatch.setattr(StabilizerState, "_ensure_pivots", counting)
+    base = Group((4,))
+    shift = PauliGate(PauliOperator.x_shift(base.element((1,))))
+    x = PauliVector(base, base.element((1,)), Character(base, (0,)))
+    x2 = PauliVector(base, base.element((2,)), Character(base, (0,)))
+    z = PauliVector(base, base.zero(), Character(base, (1,)))
+
+    def rebuilds_of(prepare, vec):
+        state = StabilizerState(base, 1)
+        for obs in prepare:
+            state.measure(obs, random.Random(0))
+        state.apply_gate(shift, (0,))
+        rebuilds.clear()
+        _outcomes, prob, _support = state.outcome_support(vec)
+        state.measure(vec, random.Random(0))
+        return prob, len(rebuilds)
+
+    assert rebuilds_of([], x) == (Fraction(1, 4), 1)
+    assert rebuilds_of([], z) == (Fraction(1), 1)
+    assert rebuilds_of([x2], z) == (Fraction(1, 2), 2)
+
+
+def test_pairing_and_echelon_disagreement_is_named(monkeypatch):
+    base = Group((4,))
+    state = StabilizerState(base, 1)
+    monkeypatch.setattr(StabilizerState, "_membership", lambda self, w: None)
+    z = PauliVector(base, base.zero(), Character(base, (1,)))
+    with pytest.raises(AssertionError,
+                       match=r"power 1 of the observable with residues \[0, 1\]"):
+        state.outcome_support(z)
