@@ -27,13 +27,13 @@ import json
 import random
 from dataclasses import dataclass
 
-from .clifford import (AutomorphismGate, CXGate, FourierGate, Gate, PauliGate,
-                       QuadraticGate)
+from .clifford import (AutomorphismGate, CliffordTableau, CXGate, FourierGate,
+                       Gate, PauliGate, QuadraticGate)
 from .errors import (GroupMismatchError, IncompleteTableError,
                      PreconditionFailedError)
 from .forms import Character, QuadraticForm, fit_quadratic_table
 from .groups import Group, GroupElement, HomMatrix, parse_group, product_group
-from .pauli import PauliOperator, PauliVector
+from .pauli import PauliOperator, PauliVector, row_params
 from .phases import Phase
 
 FORMAT_VERSION = 1
@@ -334,6 +334,10 @@ def matrix_natural_to_embedded(orders, entries):
 # ---------------------------------------------------------------------------
 # gate (de)serialization
 
+def _pauli_json(p: PauliOperator) -> dict:
+    return {"x": list(p.x.residues), "z": list(p.z.residues), "phase": p.phase.as_string()}
+
+
 def gate_to_json(gate: Gate) -> dict:
     if isinstance(gate, AutomorphismGate):
         return {"kind": "automorphism",
@@ -349,9 +353,7 @@ def gate_to_json(gate: Gate) -> dict:
         return {"kind": "fourier", "matrix": [list(r) for r in gate.matrix.entries],
                 "dagger": gate.dagger}
     if isinstance(gate, PauliGate):
-        return {"kind": "pauli", "x": list(gate.op.x.residues),
-                "z": list(gate.op.z.residues),
-                "phase": gate.op.phase.as_string()}
+        return {"kind": "pauli", **_pauli_json(gate.op)}
     if isinstance(gate, CXGate):
         return {"kind": "cx", "dagger": gate.dagger}
     raise TypeError(f"unknown gate {gate!r}")
@@ -502,32 +504,46 @@ def symplectic_from_json(data: dict):
 
 
 def tableau_to_json(tableau) -> dict:
-    def pauli_json(p):
-        return {"x": list(p.x.residues), "z": list(p.z.residues),
-                "phase": p.phase.as_string()}
+    m = tableau.group.num_factors
     return {
         "format_version": FORMAT_VERSION,
         "type": "clifford_tableau",
         "group": tableau.group.literal(),
-        "x_images": [pauli_json(p) for p in tableau.x_images],
-        "z_images": [pauli_json(p) for p in tableau.z_images],
+        "x_images": [_pauli_json(tableau.image(j)) for j in range(m)],
+        "z_images": [_pauli_json(tableau.image(j)) for j in range(m, 2 * m)],
     }
 
 
 def tableau_from_json(data: dict):
-    from .clifford import CliffordTableau
+    """A validated tableau; a malformed or invalid image is named."""
     _expect(data, "clifford_tableau")
     group = _group(data)
-
-    def pauli(d):
-        d = _object(d, "Pauli image")
-        return PauliOperator(group, _phase(d["phase"], "phase"),
-                             GroupElement(group, _ints(d["x"], "x")),
-                             Character(group, _ints(d["z"], "z")))
-
-    return CliffordTableau(group,
-                           tuple(pauli(d) for d in _list(data["x_images"], "x_images")),
-                           tuple(pauli(d) for d in _list(data["z_images"], "z_images")))
+    m = group.num_factors
+    D = row_params(group.orders)[0]
+    cols, phases = [], []
+    for block in "xz":
+        images = _list(data[f"{block}_images"], f"{block}_images")
+        if len(images) != m:
+            raise ValueError(f"a tableau over {group.literal()} has {m} "
+                             f"{block}_images, not {len(images)}")
+        for i, d in enumerate(images):
+            name = f"{block.upper()} image {i}"
+            d = _object(d, name)
+            x, z = _ints(d["x"], name), _ints(d["z"], name)
+            if len(x) != m or len(z) != m:
+                raise ValueError(f"{name} has {len(x)} x and {len(z)} z "
+                                 f"residues, not {m} each")
+            num = _phase(d["phase"], f"{name} phase").frac * D
+            if num.denominator != 1:
+                raise ValueError(f"{name} phase {d['phase']} is not a "
+                                 f"multiple of 1/{D}")
+            cols.append(x + z)
+            phases.append(int(num))
+    entries = tuple(tuple(col[i] % q for col in cols)
+                    for i, q in enumerate(group.orders * 2))
+    tableau = CliffordTableau(group, entries, tuple(phases))
+    tableau.validate()
+    return tableau
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,21 @@
 """Symbolic Clifford unitaries as tableaux of Pauli images.
 
 A tableau records, for each canonical generator X_{e_i} and Z-generator of
-the group, the exact Pauli image under conjugation.  That data determines
-the unitary up to global phase; two tableaux are equal exactly when the
-unitaries agree up to phase.  Conjugation of an arbitrary Pauli
-accumulates the generator images in a fixed order (ascending factor, X
-block before Z block), which is consistent because all deviations land in
-exactly tracked phases.
+the group, the exact Pauli image under conjugation, as integers: the
+columns of a residue matrix over G x G^ hold the images' vectors and each
+image has one phase numerator mod D = 2*lcm(q) (the integer rows of
+:mod:`pauli`).  That data determines the unitary up to global phase; two
+tableaux are equal exactly when the unitaries agree up to phase.
+Conjugation of an arbitrary Pauli is the ordered product of the generator
+images (ascending factor, X block before Z block), which is consistent
+because all deviations land in exactly tracked phases; composition,
+inversion and validation are such products too, one
+:func:`pauli.ordered_products` call each.
 
 Gate semantics are stated once, by :func:`gate_image`: the matrix over
 G x G^ whose columns are the vectors of the generator images.  Every
-non-Pauli tableau is read off those columns; its only phases are a
-quadratic gate's values on the generators, on the X images.
+non-Pauli tableau is that matrix; its only phases are a quadratic gate's
+values on the generators, on the X images.
 """
 
 from __future__ import annotations
@@ -23,11 +27,11 @@ import numpy as np
 
 from .elementary import automorphism_elementary_factors
 from .errors import GroupMismatchError
-from .forms import (Character, QuadraticForm, induced_hom, polarize)
-from .groups import Group, GroupElement, HomMatrix, invert_automorphism, product_group
+from .forms import QuadraticForm, induced_hom, polarize
+from .groups import Group, HomMatrix, invert_automorphism, product_group
 from .intmat import identity_matrix
-from .pauli import PauliOperator
-from .phases import Phase
+from .pauli import (PauliOperator, ordered_products, product_rows, row_operator,
+                    row_params)
 
 __all__ = [
     "AutomorphismGate", "QuadraticGate", "FourierGate", "PauliGate", "CXGate",
@@ -120,85 +124,82 @@ def gate_inverse(gate: Gate) -> Gate:
 
 @dataclass(frozen=True)
 class CliffordTableau:
+    """Column j of ``entries`` is the vector over G x G^ of the image of
+    generator j (X_0 .. X_{m-1}, then Z_0 .. Z_{m-1}), reduced mod the
+    factor orders; ``phases[j]`` is its phase numerator mod D."""
+
     group: Group
-    x_images: tuple[PauliOperator, ...]
-    z_images: tuple[PauliOperator, ...]
+    entries: tuple[tuple[int, ...], ...]
+    phases: tuple[int, ...]
 
     @classmethod
     def identity(cls, group: Group) -> "CliffordTableau":
-        return cls.from_columns(group, identity_matrix(2 * group.num_factors))
+        n = 2 * group.num_factors
+        return cls(group, tuple(map(tuple, identity_matrix(n))), (0,) * n)
 
-    @classmethod
-    def from_columns(cls, group: Group, entries, x_phases=None) -> "CliffordTableau":
-        """The tableau whose generator images have the columns of a matrix
-        over G x G^ as vectors, with phase zero but for ``x_phases`` on
-        the X images."""
-        m = group.num_factors
-        phases = list(x_phases or [Phase()] * m) + [Phase()] * m
-        imgs = [PauliOperator(group, phases[j],
-                              GroupElement(group, tuple(row[j] for row in entries[:m])),
-                              Character(group, tuple(row[j] for row in entries[m:])))
-                for j in range(2 * m)]
-        return cls(group, tuple(imgs[:m]), tuple(imgs[m:]))
+    def image(self, j: int) -> PauliOperator:
+        return row_operator(self.group, [row[j] for row in self.entries],
+                            self.phases[j], row_params(self.group.orders)[0])
+
+    def product_rows(self):
+        """The generator images in the form :func:`pauli.ordered_products`
+        reads."""
+        orders = self.group.orders
+        dtype = row_params(orders)[1]
+        return product_rows(np.array(self.entries, dtype=dtype).T,
+                            np.array(self.phases, dtype=dtype), orders)
+
+    def _products(self, exponents):
+        """Vectors and phases of the ordered products of the generator
+        images with the given exponent rows."""
+        orders = self.group.orders
+        return ordered_products(np.array(exponents, dtype=row_params(orders)[1]),
+                                self.product_rows(), orders)
 
     def conjugate(self, p: PauliOperator) -> PauliOperator:
         if p.group != self.group:
             raise GroupMismatchError("operator over a different group")
-        out = PauliOperator.identity(self.group).with_phase(p.phase)
-        for i, e in enumerate(p.x.residues):
-            if e:
-                out = out * self.x_images[i].pow(e)
-        for i, e in enumerate(p.z.residues):
-            if e:
-                out = out * self.z_images[i].pow(e)
-        return out
+        vecs, phases = self._products([p.x.residues + p.z.residues])
+        return row_operator(self.group, vecs[0], phases[0],
+                            row_params(self.group.orders)[0]).times_phase(p.phase)
 
     def compose(self, first: "CliffordTableau") -> "CliffordTableau":
         """Tableau of U_self . U_first (``first`` acts first)."""
         if first.group != self.group:
             raise GroupMismatchError("tableaux over different groups")
-        xs = tuple(self.conjugate(img) for img in first.x_images)
-        zs = tuple(self.conjugate(img) for img in first.z_images)
-        return CliffordTableau(self.group, xs, zs)
+        vecs, phases = self._products(list(zip(*first.entries)))
+        D = row_params(self.group.orders)[0]
+        return CliffordTableau(self.group, tuple(map(tuple, vecs.T.tolist())),
+                               tuple((a + b) % D for a, b in zip(first.phases, phases.tolist())))
 
     def vector_matrix(self) -> HomMatrix:
         """The induced automorphism of G x G^ on Pauli vectors."""
         big = doubled_group(self.group)
-        cols = [img.vector().residues() for img in self.x_images + self.z_images]
-        return HomMatrix(big, big, tuple(zip(*cols)))
+        return HomMatrix(big, big, self.entries)
 
     def inverse(self) -> "CliffordTableau":
-        raw = CliffordTableau.from_columns(
-            self.group, invert_automorphism(self.vector_matrix()).entries)
-        ident = CliffordTableau.identity(self.group)
-
-        def preimage(pre: PauliOperator, gen: PauliOperator) -> PauliOperator:
-            img = self.conjugate(pre)
-            if img.vector() != gen.vector():
-                raise ValueError("tableau vector action failed to invert")
-            # img is the generator up to phase; cancel that phase.
-            return pre.times_phase(-img.phase)
-
-        return CliffordTableau(self.group,
-                               tuple(map(preimage, raw.x_images, ident.x_images)),
-                               tuple(map(preimage, raw.z_images, ident.z_images)))
+        """The inverse vector matrix with the phases that cancel those its
+        columns pick up under this tableau."""
+        inv = invert_automorphism(self.vector_matrix()).entries
+        _vecs, phases = self._products(list(zip(*inv)))
+        D = row_params(self.group.orders)[0]
+        return CliffordTableau(self.group, inv, tuple(-p % D for p in phases.tolist()))
 
     def is_identity(self) -> bool:
         return self == CliffordTableau.identity(self.group)
 
     def validate(self) -> None:
         """Check the defining invariants: the vector action preserves the
-        commutation pairing and each generator image has the right order."""
-        n = self.group.num_factors
-        cols = [img.vector().residues() for img in self.x_images + self.z_images]
-        if not preserves_pairing(self.group.orders, list(zip(*cols))):
+        commutation pairing and each generator image has the right order;
+        a failure names the image."""
+        orders = self.group.orders
+        m = len(orders)
+        if not preserves_pairing(orders, self.entries):
             raise ValueError("tableau does not preserve the pairing")
-        for i in range(n):
-            q = self.group.orders[i]
-            if not self.x_images[i].pow(q).is_identity():
-                raise ValueError(f"X image {i} does not have order dividing {q}")
-            if not self.z_images[i].pow(q).is_identity():
-                raise ValueError(f"Z image {i} does not have order dividing {q}")
+        vecs, phases = self._products(np.diag(orders * 2))
+        for j in np.flatnonzero((vecs != 0).any(1) | (phases != 0)):
+            raise ValueError(f"{'XZ'[j // m]} image {j % m} does not have order "
+                             f"dividing {orders[j % m]}")
 
 
 def doubled_group(group: Group) -> Group:
@@ -220,10 +221,19 @@ def preserves_pairing(orders, entries) -> bool:
 
 
 def gate_pauli(op: PauliOperator) -> CliffordTableau:
-    inv = op.inverse()
-    ident = CliffordTableau.identity(op.group)
-    return CliffordTableau(op.group, tuple(op * g * inv for g in ident.x_images),
-                           tuple(op * g * inv for g in ident.z_images))
+    """Tableau of conjugation by a Pauli: generator g goes to the ordered
+    product op g op^-1 (the phase of ``op`` cancels)."""
+    group = op.group
+    ident = CliffordTableau.identity(group)
+    D, dtype, _w, _moduli = row_params(group.orders)
+    n = 2 * group.num_factors
+    v = [op.x.residues + op.z.residues]
+    rows = product_rows(np.array(v + list(ident.entries) + v, dtype=dtype),
+                        np.zeros(n + 2, dtype=dtype), group.orders)
+    ones = np.ones((n, 1), dtype=dtype)
+    E = np.hstack([ones, np.eye(n, dtype=dtype), (D - 1) * ones])
+    _vecs, phases = ordered_products(E, rows, group.orders)
+    return CliffordTableau(group, ident.entries, tuple(phases.tolist()))
 
 
 def cx_matrix(base: Group, dagger: bool = False) -> HomMatrix:
@@ -272,9 +282,9 @@ def gate_image(gate: Gate, group: Group) -> HomMatrix:
 
 def gate_tableau(gate: Gate, group: Group | None = None) -> CliffordTableau:
     """Tableau of a gate over ``group`` (required for CX: the two-slot
-    product).  Apart from Pauli gates, each generator image is read off the
-    columns of :func:`gate_image`; the only phases are a quadratic gate's
-    on its X images, the form's values on the generators."""
+    product).  Apart from Pauli gates, the vectors are the columns of
+    :func:`gate_image`; the only phases are a quadratic gate's on its X
+    images, the form's values on the generators."""
     if gate.group is not None:
         if group is not None and group != gate.group:
             raise GroupMismatchError(f"gate over {gate.group!r} used over {group!r}")
@@ -283,10 +293,12 @@ def gate_tableau(gate: Gate, group: Group | None = None) -> CliffordTableau:
         raise ValueError("CX tableau needs the two-slot group")
     if isinstance(gate, PauliGate):
         return gate_pauli(gate.op)
-    phases = None
+    m = group.num_factors
+    phases = [0] * (2 * m)
     if isinstance(gate, QuadraticGate):
-        phases = [gate.form.eval(group.generator(i)) for i in range(group.num_factors)]
-    return CliffordTableau.from_columns(group, gate_image(gate, group).entries, phases)
+        D = row_params(group.orders)[0]
+        phases[:m] = [int(gate.form.eval(group.generator(i)).frac * D) for i in range(m)]
+    return CliffordTableau(group, gate_image(gate, group).entries, tuple(phases))
 
 
 def sequence_tableau(gates, group: Group) -> CliffordTableau:

@@ -268,9 +268,9 @@ def tableau_faithful(tableau: CliffordTableau, gate: Gate, group: Group,
     tableau prediction on every Pauli generator."""
     u = gate_matrix(gate, group, cap)
     ident = CliffordTableau.identity(group)
-    for p in ident.x_images + ident.z_images:
-        lhs = u @ pauli_matrix(p, cap) @ u.conj().T
-        rhs = pauli_matrix(tableau.conjugate(p), cap)
+    for j in range(2 * group.num_factors):
+        lhs = u @ pauli_matrix(ident.image(j), cap) @ u.conj().T
+        rhs = pauli_matrix(tableau.image(j), cap)
         if np.max(np.abs(lhs - rhs)) > tol:
             return False
     return True

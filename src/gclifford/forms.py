@@ -71,9 +71,6 @@ class Character:
     def __neg__(self) -> "Character":
         return Character(self.group, tuple(-a for a in self.residues))
 
-    def scaled(self, k: int) -> "Character":
-        return Character(self.group, tuple(k * a for a in self.residues))
-
     def is_trivial(self) -> bool:
         return all(r == 0 for r in self.residues)
 

@@ -124,9 +124,6 @@ class GroupElement:
     def __neg__(self) -> "GroupElement":
         return GroupElement(self.group, tuple(-a for a in self.residues))
 
-    def scaled(self, k: int) -> "GroupElement":
-        return GroupElement(self.group, tuple(k * a for a in self.residues))
-
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.residues)
 

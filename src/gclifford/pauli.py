@@ -7,19 +7,27 @@ commutators are computed without any rounding.
 
 Multi-qudit operators are Paulis over the product group G^n with a single
 global phase; there is no per-slot phase.
+
+Clifford tableaux and stabilizer states compute on the integer rows of the
+last section instead, where their closed forms are stated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
+
+import numpy as np
 
 from .errors import GroupMismatchError
 from .forms import Character
 from .groups import Group, GroupElement, product_group
 from .phases import Phase
 
-__all__ = ["PauliOperator", "PauliVector", "beta", "embed", "extract_slot"]
+__all__ = ["PauliOperator", "PauliVector", "beta", "embed", "extract_slot",
+           "row_params", "row_operator", "cross_matrix", "product_rows",
+           "ordered_products"]
 
 
 @dataclass(frozen=True)
@@ -34,22 +42,12 @@ class PauliVector:
         if self.x.group != self.group or self.z.group != self.group:
             raise GroupMismatchError("vector components over different groups")
 
-    @classmethod
-    def zero(cls, group: Group) -> "PauliVector":
-        return cls(group, group.zero(), Character.trivial(group))
-
     def is_zero(self) -> bool:
         return self.x.is_zero() and self.z.is_trivial()
 
     @property
     def order(self) -> int:
         return lcm(self.x.order, self.z.as_element().order)
-
-    def scaled(self, k: int) -> "PauliVector":
-        return PauliVector(self.group, self.x.scaled(k), self.z.scaled(k))
-
-    def __add__(self, other: "PauliVector") -> "PauliVector":
-        return PauliVector(self.group, self.x + other.x, self.z + other.z)
 
     def residues(self) -> tuple[int, ...]:
         return self.x.residues + self.z.residues
@@ -92,9 +90,6 @@ class PauliOperator:
 
     def vector(self) -> PauliVector:
         return PauliVector(self.group, self.x, self.z)
-
-    def with_phase(self, phase: Phase) -> "PauliOperator":
-        return PauliOperator(self.group, phase, self.x, self.z)
 
     def times_phase(self, phase: Phase) -> "PauliOperator":
         return PauliOperator(self.group, self.phase + phase, self.x, self.z)
@@ -154,3 +149,68 @@ def extract_slot(p: PauliOperator, slot: int, n: int) -> PauliOperator:
     zres = p.z.residues[slot * k:(slot + 1) * k]
     return PauliOperator(base, p.phase, GroupElement(base, xres),
                          Character(base, zres))
+
+
+# ---------------------------------------------------------------------------
+# integer rows
+#
+# Over Z_q1 x ... x Z_qm a Pauli is an integer row [x | z] of residues and
+# one phase numerator p modulo D = 2*lcm(q): the operator
+# exp(2*pi*i*p/D) X_x Z_z.  With w_j = D/q_j every operation has a closed
+# form in these integers:
+#
+#     phase(a b)   = p_a + p_b + sum_j z_a[j] x_b[j] w_j            (mod D)
+#     phase(a^k)   = k p_a + C(k, 2) c_a,   c_a = sum_j z_a[j] x_a[j] w_j
+#
+# for every integer k, and reducing residues never changes them
+# (q_j x w_j = D x).  So the ordered product a_1^e_1 ... a_k^e_k of rows
+# with cross matrix S_ij = z_i.W.x_j has phase e.(p - diag(S)/2) + e.T.e,
+# where T = triu(S, 1) + diag(S)/2 (each S_ii is even because each w_j is),
+# and exponents may be reduced mod D.
+
+@lru_cache(maxsize=256)
+def row_params(orders: tuple[int, ...]):
+    """(D, dtype, weights w, moduli orders + orders) of rows over the given
+    factor orders.  The dtype is int64 when every intermediate fits (each
+    is a sum of at most 8m products of two values below D, all kept
+    reduced) and object (Python integers, same code) otherwise.  The
+    arrays are shared: never modify them."""
+    D = 2 * lcm(*orders)
+    dtype = np.int64 if 8 * len(orders) * D * D < 2 ** 62 else object
+    return (D, dtype, np.array([D // q for q in orders], dtype=dtype),
+            np.array(orders * 2, dtype=dtype))
+
+
+def row_operator(group: Group, row, numerator, D: int) -> PauliOperator:
+    """The Pauli exp(2*pi*i*numerator/D) X_x Z_z of a row [x | z]."""
+    m = group.num_factors
+    return PauliOperator(group, Phase(int(numerator), D),
+                         GroupElement(group, tuple(int(a) for a in row[:m])),
+                         Character(group, tuple(int(a) for a in row[m:])))
+
+
+def cross_matrix(A, B, orders):
+    """S_ij = z(A_i) . W . x(B_j) mod D for rows A and B."""
+    D, _dtype, w, _moduli = row_params(orders)
+    m = len(orders)
+    return (A[:, m:] @ (w * B[:, :m]).T) % D
+
+
+def product_rows(V, P, orders):
+    """Rows V with phases P in the form :func:`ordered_products` reads:
+    [V | P - diag(S)/2 | T] for their cross matrix S."""
+    S = cross_matrix(V, V, orders)
+    half = np.diagonal(S) // 2
+    T = np.triu(S, 1) + np.diag(half)
+    return np.hstack([V, ((P - half) % row_params(orders)[0])[:, None], T])
+
+
+def ordered_products(E, rows, orders):
+    """Vectors and phase numerators mod D of the ordered products
+    prod_j a_j^E[r, j], for Paulis a_j given by :func:`product_rows` and
+    exponent rows E reduced mod D.  The result has the dtype of E, which
+    may hold Python integers where the orders alone would allow int64."""
+    D, _dtype, _w, moduli = row_params(orders)
+    n = len(moduli)
+    return ((E @ rows[:, :n]) % moduli.astype(E.dtype, copy=False),
+            (E @ rows[:, n] + ((E @ rows[:, n + 1:]) % D * E).sum(1)) % D)

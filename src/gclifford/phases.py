@@ -52,9 +52,6 @@ class Phase:
     def __neg__(self) -> "Phase":
         return Phase.from_fraction(-self._frac)
 
-    def scaled(self, k: int) -> "Phase":
-        return Phase.from_fraction(self._frac * k)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Phase):
             return NotImplemented
@@ -76,7 +73,3 @@ class Phase:
     def parse(cls, text: str) -> "Phase":
         num, _, den = text.partition("/")
         return cls(int(num), int(den) if den else 1)
-
-
-ZERO_PHASE = Phase()
-HALF_PHASE = Phase(1, 2)

@@ -4,22 +4,14 @@ Over G^n = Z_q1 x ... x Z_qm a state is k commuting Pauli generators whose
 group has order |G|^n and holds no nontrivial phase times the identity.
 Generator i is an integer row ``V[i] = [x | z]`` of residues modulo the
 factor orders and one phase numerator ``P[i]`` modulo D = 2*lcm(q): the
-operator exp(2*pi*i*P[i]/D) X_x Z_z.  With w_j = D/q_j every operation on
-raw Paulis has a closed form in these integers:
-
-    phase(a b)   = p_a + p_b + sum_j z_a[j] x_b[j] w_j            (mod D)
-    phase(a^k)   = k p_a + C(k, 2) c_a,   c_a = sum_j z_a[j] x_a[j] w_j
-
-for every integer k, and reducing residues never changes them
-(q_j x w_j = D x).  So the ordered product a_1^e_1 ... a_k^e_k of
-generators with cross matrix S_ij = z_i.W.x_j has phase
-e.(p - diag(S)/2) + e.T.e, where T = triu(S, 1) + diag(S)/2 (each S_ii is
-even because each w_j is), and exponents may be reduced mod D.
+operator exp(2*pi*i*P[i]/D) X_x Z_z.  Products and powers of such rows
+have closed forms, stated once in :mod:`pauli` with the ordered-product
+kernel they give.
 
 Gates act on every generator at once: a (gate, local orders) pair is
-turned once into integer rows holding the images of the local generators,
-their phases and their cross matrix, and the local columns E of all
-generators map to E @ images with the product-form phase increment.
+turned once into the kernel's form of its tableau (the images of the
+local generators), and the local columns of all generators are exponent
+rows of one ordered product.
 
 Measurement works on the lattice L spanned by the generator rows and the
 factor moduli.  L is isotropic of order |G|^n and the pairing on
@@ -32,11 +24,10 @@ row echelon (per column, every other row is reduced by the row with the
 smallest entry until one pivot is left, the phases following the closed
 forms) serves the rest: the phase of t0 v as a generator product when
 t0 v is not the identity, and the replacement generators after a
-collapse, whose invariants it re-checks.  Arrays are int64 when a bound
-on every intermediate value fits in 63 bits, and otherwise hold Python
-integers (dtype=object) running the same code.  Phases become ``Phase``
-values only at the boundary.  Correctness is established against the
-dense oracle rather than by theory alone.
+collapse, whose invariants it re-checks.  The arrays have the dtype of
+:func:`pauli.row_params`, and phases become ``Phase`` values only at the
+boundary.  Correctness is established against the dense oracle rather
+than by theory alone.
 
 Circuits run through :func:`circuits.interpret`; a sampled measurement
 collapses the state in place, and only enumeration clones it per branch.
@@ -46,7 +37,7 @@ from __future__ import annotations
 
 import random as _random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
@@ -54,62 +45,18 @@ from .circuits import (Circuit, MagicPrepOp, interpret, sample_outcome,
                        sample_trajectory)
 from .clifford import Gate, gate_tableau
 from .errors import BackendCapabilityError
-from .forms import Character
-from .groups import Group, GroupElement, product_group
+from .groups import Group, product_group
 from .intmat import ext_gcd
-from .pauli import PauliOperator, PauliVector
-from .phases import Phase
+from .pauli import (PauliOperator, PauliVector, cross_matrix, ordered_products,
+                    product_rows, row_operator, row_params)
 
 __all__ = ["StabilizerState", "run_circuit", "enumerate_branches"]
 
-# gate tableaux and their integer conjugation rows are pure data; share them
-# across states (keys are frozen gate values plus the local factor orders)
+# gate tableaux and their kernel rows (one per local generator image) are
+# pure data; share them across states (keys are frozen gate values plus the
+# local factor orders)
 _TABLEAU_CACHE: dict = {}
 _CONJ_CACHE: dict = {}
-
-
-def _int_dtype(m: int, D: int):
-    """int64 when every intermediate fits: each is a sum of at most 8m
-    products of two values below D (residues, phases, exponents and
-    weights are kept reduced); Python integers otherwise."""
-    return np.int64 if 8 * m * D * D < 2 ** 62 else object
-
-
-def _product_form(S):
-    """(half, T) for the cross matrix S of some generators: their ordered
-    product with exponents e has phase e @ (p - half) + e @ T @ e."""
-    half = np.diagonal(S) // 2
-    return half, np.triu(S, 1) + np.diag(half)
-
-
-def _ordered_phase(E, base, T, D: int):
-    """Phases mod D of the ordered products with exponent rows E, for
-    generators with ``base`` = p - half and product matrix T."""
-    return (E @ base + ((E @ T) % D * E).sum(1)) % D
-
-
-def _conjugation_rows(tab) -> np.ndarray:
-    """Integer form of a tableau over local orders q, in units of
-    D_q = 2*lcm(q): one row per local generator image u_i (X block, then
-    Z block) holding [x(u_i) | z(u_i) | phase(u_i) - half_i | T[i]]."""
-    orders = tab.group.orders
-    dq = 2 * lcm(*orders)
-    w = len(orders)
-    dtype = _int_dtype(w, dq)
-    imgs = tab.x_images + tab.z_images
-    U = np.array([img.x.residues + img.z.residues for img in imgs], dtype=dtype)
-    phases = []
-    for img in imgs:
-        num = img.phase.frac * dq
-        if num.denominator != 1:
-            raise AssertionError(f"gate image phase {img.phase} is not a "
-                                 f"multiple of 1/{dq}")
-        phases.append(int(num))
-    weights = np.array([dq // q for q in orders], dtype=dtype)
-    S = (U[:, w:] @ (weights * U[:, :w]).T) % dq
-    half, T = _product_form(S)
-    base = (np.array(phases, dtype=dtype) - half) % dq
-    return np.hstack([U, base[:, None], T])
 
 
 class StabilizerState:
@@ -121,37 +68,17 @@ class StabilizerState:
         self.orders = base.orders * n
         self.m = m = len(self.orders)
         self.big = product_group(base, n)
-        self.D = D = 2 * lcm(*self.orders)
-        self.dtype = _int_dtype(m, D)
-        self._lorders = np.array(self.orders * 2, dtype=self.dtype)
-        self._w = np.array([D // q for q in self.orders], dtype=self.dtype)
+        self.D, self.dtype, self._w, self._lorders = row_params(self.orders)
         self.V = np.zeros((m if _init else 0, 2 * m), dtype=self.dtype)
         self.P = np.zeros(len(self.V), dtype=self.dtype)
         if _init:
             self.V[:, m:] = np.eye(m, dtype=self.dtype)
         self._pivots = None
 
-    # -- raw generator algebra ------------------------------------------
-
-    def _cross(self, A, B):
-        """S_ij = z(A_i) . W . x(B_j) mod D for rows A and B."""
-        m = self.m
-        return (A[:, m:] @ (self._w * B[:, :m]).T) % self.D
-
-    def _combine(self, C, V, P):
-        """Rows and phases of the ordered products prod_j V_j^C[r, j]."""
-        half, T = _product_form(self._cross(V, V))
-        C = C % self.D
-        return (C @ V) % self._lorders, _ordered_phase(C, (P - half) % self.D, T, self.D)
-
     # -- conversions ------------------------------------------------------
 
     def generator_operators(self) -> list[PauliOperator]:
-        m, big = self.m, self.big
-        return [PauliOperator(big, Phase(int(p), self.D),
-                              GroupElement(big, tuple(int(a) for a in row[:m])),
-                              Character(big, tuple(int(a) for a in row[m:])))
-                for row, p in zip(self.V, self.P)]
+        return [row_operator(self.big, row, p, self.D) for row, p in zip(self.V, self.P)]
 
     def clone(self) -> "StabilizerState":
         out = StabilizerState(self.base, self.n, _init=False)
@@ -173,15 +100,12 @@ class StabilizerState:
                 _CONJ_CACHE.clear()
             tab = gate_tableau(gate, Group(local_orders))
             _TABLEAU_CACHE[cache_key] = tab
-            rows = _CONJ_CACHE[cache_key] = _conjugation_rows(tab)
+            rows = _CONJ_CACHE[cache_key] = tab.product_rows()
         rows = rows.astype(self.dtype, copy=False)
         idxs = [s * k + f for s in slots for f in range(k)]
         cols = idxs + [self.m + i for i in idxs]
-        w2 = len(cols)
-        E = self.V[:, cols]
-        self.V[:, cols] = (E @ rows[:, :w2]) % self._lorders[cols]
-        # every slot holds the base group, so the rows' unit 2*lcm is D
-        inc = _ordered_phase(E, rows[:, w2], rows[:, w2 + 1:], self.D)
+        # every slot holds the base group, so the local unit 2*lcm is D
+        self.V[:, cols], inc = ordered_products(self.V[:, cols], rows, local_orders)
         self.P = (self.P + inc) % self.D
         self._pivots = None
 
@@ -232,15 +156,14 @@ class StabilizerState:
                 f"nontrivial phase ({int(P[bad[0]])}/{D}) times the identity")
         vecs = np.array(vecs, dtype=self.dtype).reshape(len(cols), 2 * m)
         phases = np.array(phases, dtype=self.dtype)
-        half, T = _product_form(self._cross(vecs, vecs))
-        self._pivots = (cols, entries, vecs, phases, (phases - half) % D, T)
+        self._pivots = (cols, entries, vecs, phases)
 
     def _membership(self, w):
         """Phase numerator (mod D) of a generator product whose vector is
         ``w`` (mod the factor orders), or None when ``w`` is outside the
         stabilizer lattice."""
         self._ensure_pivots()
-        cols, entries, vecs, _phases, base, T = self._pivots
+        cols, entries, vecs, phases = self._pivots
         lorders = self._lorders
         target = w % lorders
         residual = target
@@ -258,9 +181,11 @@ class StabilizerState:
             coef[idx] = xcoef
         if residual.any():
             return None
-        if ((coef @ vecs - target) % lorders).any():
+        got, phase = ordered_products(coef[None], product_rows(vecs, phases, self.orders),
+                                      self.orders)
+        if (got[0] != target).any():
             raise AssertionError("membership witness does not match the power")
-        return int(_ordered_phase(coef[None], base, T, self.D)[0])
+        return int(phase[0])
 
     # -- measurement -----------------------------------------------------------
 
@@ -344,7 +269,7 @@ class StabilizerState:
         C = np.eye(k, dtype=self.dtype) - steps[:, None] * u
         C = np.vstack([C, (order // gcd(g, order)) * u]) % D
         C = C[(C != 0).any(1)]
-        V, P = self._combine(C, self.V, self.P)
+        V, P = ordered_products(C, product_rows(self.V, self.P, self.orders), self.orders)
         # the measured operator joins the group with its outcome phase
         self.V = np.vstack([V, v])
         self.P = np.append(P, (correction - outcome * (D // order)) % D)
@@ -356,7 +281,7 @@ class StabilizerState:
         their count by 2*m and re-checks the invariants.  The pivots stay
         valid for the new rows."""
         self._ensure_pivots()
-        _cols, _entries, vecs, phases, _base, _T = self._pivots
+        _cols, _entries, vecs, phases = self._pivots
         self.V = vecs.copy()
         self.P = phases.copy()
 
@@ -368,7 +293,7 @@ class StabilizerState:
         names the generator or the pair."""
         V, P, D = self.V, self.P, self.D
         lorders = self._lorders
-        S = self._cross(V, V)
+        S = cross_matrix(V, V, self.orders)
         c = np.diagonal(S)
         orders = np.lcm.reduce(lorders // np.gcd(V, lorders), axis=1)
         power = (orders * P + (orders * (orders - 1) // 2) % D * c) % D

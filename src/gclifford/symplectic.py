@@ -29,13 +29,13 @@ from .clifford import (AutomorphismGate, CliffordTableau, FourierGate, Gate,
                        sequence_tableau)
 from .elementary import column_clear_moves, move_to_hom
 from .errors import (NotExtendableError, NotSymplecticError, ReductionError)
-from .forms import (Character, QuadraticForm, SymmetricBilinearForm,
+from .forms import (QuadraticForm, SymmetricBilinearForm,
                     bilinear_from_hom, induced_hom, i_xi_matrix, lift_bilinear,
                     standard_nondegenerate_form)
 from .groups import (Group, GroupElement, HomMatrix, invert_automorphism,
                      is_automorphism)
 from .intmat import identity_matrix, mat_mul, stab_multiplier
-from .pauli import PauliOperator
+from .pauli import row_operator, row_params
 from .phases import Phase
 
 __all__ = [
@@ -348,18 +348,17 @@ def decompose_clifford(tableau: CliffordTableau) -> list[Gate]:
     residue = tableau.compose(partial.inverse())
     if not residue.vector_matrix().is_identity():
         raise ReductionError("residue is not a Pauli conjugation")
+    # the residue is conjugation by X_g Z_chi: X_i picks up chi_i / q_i and
+    # Z_i picks up -g_i / q_i, in units of 1/D = 1/(w_i q_i)
+    m, D = group.num_factors, row_params(group.orders)[0]
     chi_res, g_res = [], []
-    for img, imgz, q in zip(residue.x_images, residue.z_images, group.orders):
-        val = img.phase.frac * q
-        if val.denominator != 1:
-            raise ReductionError("residue phase is not a character value")
-        chi_res.append(int(val) % q)
-        val = (-imgz.phase).frac * q
-        if val.denominator != 1:
-            raise ReductionError("residue phase is not an element value")
-        g_res.append(int(val) % q)
-    pauli = PauliOperator(group, Phase(), GroupElement(group, tuple(g_res)),
-                          Character(group, tuple(chi_res)))
+    for i, q in enumerate(group.orders):
+        w = D // q
+        if residue.phases[i] % w or residue.phases[m + i] % w:
+            raise ReductionError("residue phase is not a character or element value")
+        chi_res.append(residue.phases[i] // w)
+        g_res.append(-residue.phases[m + i] // w % q)
+    pauli = row_operator(group, g_res + chi_res, 0, D)
     if gate_pauli(pauli) != residue:
         raise ReductionError("Pauli correction does not reproduce the residue")
     return seq + [PauliGate(pauli)]

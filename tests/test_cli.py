@@ -295,6 +295,32 @@ def test_malformed_gate_payload_exit_2(tmp_path, gate, message):
     assert code == 2 and message in text, text
 
 
+def _set(images, index, **changes):
+    return lambda doc: doc[images][index].update(changes)
+
+
+@pytest.mark.parametrize("edit, message", [
+    # X_0 -> i X_0 squares to -1
+    (_set("x_images", 0, phase="1/4"), "X image 0 does not have order dividing 2"),
+    (_set("x_images", 0, phase="1/3"), "X image 0 phase 1/3 is not a multiple of 1/4"),
+    # X_0 -> X_0 Z_0 keeps the pairing, but (X Z)^2 = -1
+    (_set("x_images", 0, z=[1, 0]), "X image 0 does not have order dividing 2"),
+    (lambda doc: doc["z_images"].pop(), "has 2 z_images, not 1"),
+    (_set("z_images", 1, x=[0]), "Z image 1 has 1 x and 2 z residues"),
+    (_set("x_images", 1, x=[1, 0]), "does not preserve the pairing"),
+], ids=["square-minus-one", "phase-off-grid", "xz-square", "image-count",
+        "residue-count", "pairing"])
+def test_malformed_tableau_document_exit_2(tmp_path, edit, message):
+    from gclifford.circuits import tableau_to_json
+    from gclifford.clifford import CliffordTableau
+    doc = tableau_to_json(CliffordTableau.identity(make_group([2, 2])))
+    edit(doc)
+    path = tmp_path / "tab.json"
+    path.write_text(json.dumps(doc))
+    code, text = run_cli(["decompose", "--verify", "--in", str(path)])
+    assert code == 2 and message in text, text
+
+
 def test_one_slot_cx_exit_2(tmp_path):
     doc = {"format_version": 1, "type": "circuit", "group": "2", "qudits": 2,
            "operations": [{"op": "gate", "slots": [1],

@@ -57,7 +57,8 @@ def test_identity_tableau():
         assert t.conjugate(p) == p
     t.validate()
     # X_0 sent to Z_0, like Z_0 itself: the pairing is broken
-    bad = CliffordTableau(g, (t.z_images[0],) + t.x_images[1:], t.z_images)
+    m = g.num_factors
+    bad = CliffordTableau(g, tuple((row[m],) + row[1:] for row in t.entries), t.phases)
     with pytest.raises(ValueError, match="pairing"):
         bad.validate()
 

@@ -2,8 +2,9 @@
 
 ``ReferenceState`` is the list/``Fraction`` engine the integer kernel
 replaced: generators are ``[x, z, Phase]`` lists multiplied by the raw
-Pauli product, gates conjugate each generator's local pattern through
-``CliffordTableau.conjugate``, and the echelon runs column Euclid one pair
+Pauli product, gates conjugate each generator's local pattern through the
+``Fraction`` tableau reference (``test_tableau_kernel.reference_conjugate``,
+not the integer kernel under test), and the echelon runs column Euclid one pair
 of generators at a time.  It is slow and plainly correct; the tests hold
 the closed forms, the gate kernel and whole branch enumerations to it.
 """
@@ -25,12 +26,14 @@ from gclifford.clifford import (CXGate, FourierGate, PauliGate, QuadraticGate,
 from gclifford.forms import Character, QuadraticForm
 from gclifford.groups import Group, GroupElement, HomMatrix, product_group
 from gclifford.intmat import ext_gcd
-from gclifford.pauli import PauliOperator, PauliVector
+from gclifford.pauli import (PauliOperator, PauliVector, cross_matrix,
+                             ordered_products, product_rows)
 from gclifford.phases import Phase
 from gclifford.stabilizer import StabilizerState, enumerate_branches
 from gclifford.verify import random_clifford_circuit
 
 from test_dense_kernels import gate_cases
+from test_tableau_kernel import reference_conjugate
 
 KERNEL_GROUPS = [(2,), (3,), (4,), (2, 4), (4, 2), (8, 2), (3, 3)]
 # (gate, local orders) -> (tableau, local pattern -> image), as the
@@ -102,7 +105,7 @@ class ReferenceState:
             lz = tuple(gen[1][i] for i in idxs)
             hit = memo.get((lx, lz))
             if hit is None:
-                img = tab.conjugate(PauliOperator(
+                img = reference_conjugate(tab, PauliOperator(
                     local, Phase(), GroupElement(local, lx), Character(local, lz)))
                 hit = memo[(lx, lz)] = (img.x.residues, img.z.residues, img.phase)
             for pos, i in enumerate(idxs):
@@ -313,12 +316,15 @@ def test_closed_form_product_and_power(case):
     state = StabilizerState(a.group, 1)
     D = state.D
     V, P = rows_of(state, [a, b])
-    rows, phases = state._combine(np.array([[1, 1]], dtype=state.dtype), V, P)
+    orders = state.orders
+    rows, phases = ordered_products(np.array([[1, 1]], dtype=state.dtype),
+                                    product_rows(V, P, orders), orders)
     assert operator_of(state, rows[0], phases[0]) == a * b
-    rows, phases = state._combine(np.array([[k]], dtype=state.dtype), V[:1], P[:1])
+    rows, phases = ordered_products(np.array([[k % D]], dtype=state.dtype),
+                                    product_rows(V[:1], P[:1], orders), orders)
     assert operator_of(state, rows[0], phases[0]) == a.pow(k)
     # phase(a^k) = k p + C(k, 2) c without reducing k
-    c = int(state._cross(V[:1], V[:1])[0, 0])
+    c = int(cross_matrix(V[:1], V[:1], orders)[0, 0])
     assert Phase(k * int(P[0]) + k * (k - 1) // 2 * c, D) == a.pow(k).phase
 
 
@@ -345,7 +351,7 @@ def test_apply_gate_matches_tableau_conjugation(orders):
                 k = base.num_factors
                 idxs = [s * k + f for s in slots for f in range(k)]
                 for op, got in zip(ops, state.generator_operators()):
-                    img = tab.conjugate(PauliOperator(
+                    img = reference_conjugate(tab, PauliOperator(
                         local, Phase(),
                         GroupElement(local, tuple(op.x.residues[i] for i in idxs)),
                         Character(local, tuple(op.z.residues[i] for i in idxs))))
