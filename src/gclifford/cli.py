@@ -121,7 +121,7 @@ def cmd_verify(args, stdout) -> int:
     group = parse_group(args.group)
     report = run_suite(group, seed=args.seed, dense_cap=args.dense_cap)
     for check in report["checks"]:
-        status = "pass" if check["passed"] else "FAIL"
+        status = "FAIL" if not check["passed"] else "skip" if check.get("skipped") else "pass"
         detail = f" ({check['detail']})" if check["detail"] else ""
         stdout.write(f"{status}  {check['name']}{detail}\n")
     if args.out:

@@ -15,11 +15,14 @@ inversion and validation are such products too, one
 Gate semantics are stated once, by :func:`gate_image`: the matrix over
 G x G^ whose columns are the vectors of the generator images.  Every
 non-Pauli tableau is that matrix; its only phases are a quadratic gate's
-values on the generators, on the X images.
+values on the generators, on the X images.  :func:`image_array` memoizes
+each image as a read-only integer array, so the compiler validates a
+gate's image once and multiplies arrays after that.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import lcm
 
@@ -35,8 +38,8 @@ from .pauli import (PauliOperator, ordered_products, product_rows, row_operator,
 
 __all__ = [
     "AutomorphismGate", "QuadraticGate", "FourierGate", "PauliGate", "CXGate",
-    "CliffordTableau", "gate_image", "gate_tableau", "gate_inverse",
-    "sequence_tableau", "preserves_pairing", "two_local_factorize",
+    "CliffordTableau", "gate_image", "image_array", "gate_tableau",
+    "gate_inverse", "sequence_tableau", "pairing_witness", "two_local_factorize",
 ]
 
 
@@ -194,11 +197,14 @@ class CliffordTableau:
         a failure names the image."""
         orders = self.group.orders
         m = len(orders)
-        if not preserves_pairing(orders, self.entries):
-            raise ValueError("tableau does not preserve the pairing")
+        witness = pairing_witness(orders, self.entries)
+        if witness is not None:
+            i, j = witness
+            raise ValueError(f"tableau does not preserve the pairing: {image_name(i, m)} "
+                             f"and {image_name(j, m)} do not pair as their generators do")
         vecs, phases = self._products(np.diag(orders * 2))
         for j in np.flatnonzero((vecs != 0).any(1) | (phases != 0)):
-            raise ValueError(f"{'XZ'[j // m]} image {j % m} does not have order "
+            raise ValueError(f"{image_name(j, m)} does not have order "
                              f"dividing {orders[j % m]}")
 
 
@@ -206,18 +212,34 @@ def doubled_group(group: Group) -> Group:
     return Group(group.orders + group.orders)
 
 
-def preserves_pairing(orders, entries) -> bool:
-    """Whether the columns of a residue matrix C over G x G^ pair as the
-    unit vectors do: C^T J C == J mod L = lcm(orders), where J is the
-    pairing in units of 1/L, J[m+i][i] = L/q_i = -J[i][m+i]."""
+def image_name(j: int, m: int) -> str:
+    """Name of generator j's image (X_0 .. X_{m-1}, then Z_0 .. Z_{m-1})."""
+    return f"{'XZ'[j // m]} image {j % m}"
+
+
+def matrix_dtype(orders):
+    """dtype of residue matrices over G x G^: int64 when an entry of the
+    product of two reduced matrices, a sum of 2m products of values below
+    L = lcm(orders), fits with a factor 2 to spare, and object (Python
+    integers, same code) otherwise."""
+    return np.int64 if 2 * (2 * len(orders)) * lcm(*orders) ** 2 < 2 ** 62 else object
+
+
+def pairing_witness(orders, entries) -> tuple[int, int] | None:
+    """The first (i, j), in row-major order, at which the columns of a
+    residue matrix C over G x G^ do not pair as the unit vectors do, that
+    is (C^T J C - J)[i][j] != 0 mod L = lcm(orders), where J is the
+    pairing in units of 1/L, J[m+i][i] = L/q_i = -J[i][m+i]; None when C
+    preserves the pairing.  The difference is antisymmetric, so i < j."""
     m = len(orders)
     big_l = lcm(*orders)
-    dtype = np.int64 if 2 * m * big_l ** 2 < 2 ** 62 else object
-    c = np.array(entries, dtype=dtype)
+    dtype = matrix_dtype(orders)
+    c = np.asarray(entries, dtype=dtype)
     j = np.zeros((2 * m, 2 * m), dtype=dtype)
     j[m:, :m] = np.diag(np.array([big_l // q for q in orders], dtype=dtype))
     j = j - j.T
-    return not (((c.T @ j) % big_l @ c - j) % big_l).any()
+    bad = np.argwhere(((c.T @ j) % big_l @ c - j) % big_l)
+    return (int(bad[0][0]), int(bad[0][1])) if len(bad) else None
 
 
 def gate_pauli(op: PauliOperator) -> CliffordTableau:
@@ -252,8 +274,9 @@ def gate_image(gate: Gate, group: Group) -> HomMatrix:
     first): column j is the vector of the image of generator j.  For CX,
     ``group`` is the two-slot product; a Pauli gate acts as the identity.
 
-    This is the one statement of gate semantics: :func:`gate_tableau`
-    reads its images off these columns."""
+    This is the one statement of gate semantics; each call builds and
+    validates the matrix.  Hot paths read it through :func:`image_array`,
+    which memoizes it as a read-only integer array."""
     if isinstance(gate, CXGate):
         gate = AutomorphismGate(cx_matrix(Group(group.orders[:group.num_factors // 2]),
                                           gate.dagger))
@@ -280,11 +303,27 @@ def gate_image(gate: Gate, group: Group) -> HomMatrix:
     return HomMatrix(big, big, tuple(a + b for a, b in zip(xx + zx, xz + zz)))
 
 
+_IMAGE_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_IMAGE_MEMO_SIZE)
+def image_array(gate: Gate, group: Group) -> np.ndarray:
+    """``gate_image(gate, group).entries`` as a read-only array of dtype
+    :func:`matrix_dtype`.  The ``_IMAGE_MEMO_SIZE`` most recently used
+    images are kept, so :func:`gate_image` builds and validates each
+    image once per distinct (gate, group) while it stays in the memo;
+    ``image_array.cache_info()`` reports the hits and misses."""
+    out = np.array(gate_image(gate, group).entries, dtype=matrix_dtype(group.orders))
+    out.flags.writeable = False
+    return out
+
+
 def gate_tableau(gate: Gate, group: Group | None = None) -> CliffordTableau:
     """Tableau of a gate over ``group`` (required for CX: the two-slot
     product).  Apart from Pauli gates, the vectors are the columns of
-    :func:`gate_image`; the only phases are a quadratic gate's on its X
-    images, the form's values on the generators."""
+    :func:`gate_image`, read through :func:`image_array`; the only phases
+    are a quadratic gate's on its X images, the form's values on the
+    generators."""
     if gate.group is not None:
         if group is not None and group != gate.group:
             raise GroupMismatchError(f"gate over {gate.group!r} used over {group!r}")
@@ -298,7 +337,8 @@ def gate_tableau(gate: Gate, group: Group | None = None) -> CliffordTableau:
     if isinstance(gate, QuadraticGate):
         D = row_params(group.orders)[0]
         phases[:m] = [int(gate.form.eval(group.generator(i)).frac * D) for i in range(m)]
-    return CliffordTableau(group, gate_image(gate, group).entries, tuple(phases))
+    return CliffordTableau(group, tuple(map(tuple, image_array(gate, group).tolist())),
+                           tuple(phases))
 
 
 def sequence_tableau(gates, group: Group) -> CliffordTableau:

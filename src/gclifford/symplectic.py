@@ -4,12 +4,15 @@ symplectic map to Fourier, quadratic-phase and automorphism gates.
 Vectors over L = G x G^ are residue tuples of length 2m (element part
 first); the commutation pairing is
 ``beta((g0,c0),(g1,c1)) = c0(g1) - c1(g0)``; a matrix preserves it when
-C^T J C == J mod lcm(q) in integers (``clifford.preserves_pairing``).
+C^T J C == J mod lcm(q) in integers (``clifford.pairing_witness``).
 The decomposition clears one pivot pair (X_t, Z^_t) per round by
-left-multiplying the working matrix with exact gate images
-(``clifford.gate_image``), asserting the expected shape and the pairing
-after every step; the emitted gate list is the reversed inverse of the
-moves.
+left-multiplying the working matrix, an integer array, with exact gate
+images (``clifford.gate_image``), asserting the expected shape and the
+pairing after every step; the emitted gate list is the reversed inverse of
+the moves.  Gate images are read through ``clifford.image_array``, which
+memoizes them as read-only arrays, so a gate repeated within or across
+decompositions is imaged and validated once; products are array products
+reduced mod the orders.
 
 Fourier moves on a strict subset of the factors are not generator gates;
 they are synthesized with the split-subgroup circuit (two full Fourier
@@ -23,10 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
+
 from .clifford import (AutomorphismGate, CliffordTableau, FourierGate, Gate,
-                       PauliGate, QuadraticGate, doubled_group, gate_image,
-                       gate_inverse, gate_pauli, preserves_pairing,
-                       sequence_tableau)
+                       PauliGate, QuadraticGate, doubled_group,
+                       gate_image,  # noqa: F401  (re-exported: tests and perfbench read it here)
+                       gate_inverse, gate_pauli, image_array, image_name,
+                       matrix_dtype, pairing_witness, sequence_tableau)
 from .elementary import column_clear_moves, move_to_hom
 from .errors import (NotExtendableError, NotSymplecticError, ReductionError)
 from .forms import (QuadraticForm, SymmetricBilinearForm,
@@ -34,7 +40,7 @@ from .forms import (QuadraticForm, SymmetricBilinearForm,
                     standard_nondegenerate_form)
 from .groups import (Group, GroupElement, HomMatrix, invert_automorphism,
                      is_automorphism)
-from .intmat import identity_matrix, mat_mul, stab_multiplier
+from .intmat import stab_multiplier
 from .pauli import row_operator, row_params
 from .phases import Phase
 
@@ -82,18 +88,23 @@ def beta_residues(orders, u, v) -> Phase:
 
 def is_symplectic(sigma: SymplecticMap) -> bool:
     return (is_automorphism(sigma.matrix)
-            and preserves_pairing(sigma.group.orders, sigma.matrix.entries))
+            and pairing_witness(sigma.group.orders, sigma.matrix.entries) is None)
+
+
+def _left_apply(gates, group: Group, mat: np.ndarray) -> np.ndarray:
+    """The gates' memoized images times ``mat``, row i reduced mod the
+    order of factor i of G x G^ after each product."""
+    moduli = np.array(group.orders * 2, dtype=mat.dtype)[:, None]
+    for gate in gates:
+        mat = image_array(gate, group) @ mat % moduli
+    return mat
 
 
 def _image(gates, group: Group) -> HomMatrix:
-    """Product of the gate images as reduced integer rows, validated once."""
-    lorders = group.orders * 2
-    acc = identity_matrix(len(lorders))
-    for gate in gates:
-        new = mat_mul(gate_image(gate, group).entries, acc)
-        acc = [[v % q for v in row] for row, q in zip(new, lorders)]
+    """Product of the gate images, validated once."""
+    ident = np.eye(2 * group.num_factors, dtype=np.int64).astype(matrix_dtype(group.orders))
     big = doubled_group(group)
-    return HomMatrix(big, big, tuple(tuple(r) for r in acc))
+    return HomMatrix(big, big, tuple(map(tuple, _left_apply(gates, group, ident).tolist())))
 
 
 def sequence_image(gates, group: Group) -> SymplecticMap:
@@ -163,37 +174,33 @@ class _Reduction:
         self.group = sigma.group
         self.orders = sigma.group.orders
         self.m = sigma.group.num_factors
-        self.lorders = self.orders + self.orders
-        self.mat = [list(row) for row in sigma.matrix.entries]
+        self.mat = np.array(sigma.matrix.entries, dtype=matrix_dtype(self.orders))
         self.applied: list[Gate] = []
 
     def check(self, cond: bool, msg: str) -> None:
         if not cond:
             raise ReductionError(f"symplectic reduction: {msg}")
 
-    def apply(self, gates: list[Gate], image: HomMatrix | None = None) -> None:
-        """Left-multiply by the gates' image (``image``, when already built)."""
-        if image is None:
-            image = _image(gates, self.group)
-        new = mat_mul(image.entries, self.mat)
-        self.mat = [[v % q for v in row] for row, q in zip(new, self.lorders)]
+    def apply(self, gates: list[Gate]) -> None:
+        """Left-multiply by the gates' images."""
+        self.mat = _left_apply(gates, self.group, self.mat)
         self.applied.extend(gates)
         # every intermediate matrix must stay symplectic; the moves are
         # automorphism images, so only the pairing needs re-checking
-        if not preserves_pairing(self.orders, self.mat):
-            raise ReductionError("an intermediate matrix stopped being symplectic")
+        witness = pairing_witness(self.orders, self.mat)
+        if witness is not None:
+            i, j = witness
+            raise ReductionError(
+                f"an intermediate matrix stopped being symplectic: {image_name(i, self.m)} "
+                f"and {image_name(j, self.m)} do not pair as their generators do")
 
     def column(self, j: int) -> list[int]:
-        return [self.mat[i][j] for i in range(2 * self.m)]
+        return self.mat[:, j].tolist()
 
     def pivot_clean(self, t: int) -> bool:
-        m = self.m
-        for pos in (t, m + t):
-            for r in range(2 * m):
-                want = 1 if r == pos else 0
-                if self.mat[r][pos] != want or self.mat[pos][r] != want:
-                    return False
-        return True
+        unit = np.eye(2 * self.m, dtype=np.int64)
+        return all((self.mat[:, pos] == unit[pos]).all() and (self.mat[pos] == unit[pos]).all()
+                   for pos in (t, self.m + t))
 
     def round(self, t: int) -> None:
         if self.pivot_clean(t):
@@ -228,7 +235,7 @@ class _Reduction:
                 self.check(image.entries[i][j] == 0 and
                            image.entries[m + i][m + j] == 0,
                            "partial Fourier image is not off-diagonal")
-        self.apply(fourier_gates, image)
+        self.apply(fourier_gates)
 
         # Map the pivot column's element part to the pivot generator.
         col = self.column(t)
@@ -314,11 +321,10 @@ class _Reduction:
                    "dual column did not clear")
 
         # Symplecticity forces the pivot rows clean as well.
-        for j in range(2 * m):
-            self.check(self.mat[t][j] == (1 if j == t else 0),
-                       "pivot row is not clean")
-            self.check(self.mat[m + t][j] == (1 if j == m + t else 0),
-                       "dual pivot row is not clean")
+        self.check(self.mat[t].tolist() == [1 if j == t else 0 for j in range(2 * m)],
+                   "pivot row is not clean")
+        self.check(self.mat[m + t].tolist() == [1 if j == m + t else 0 for j in range(2 * m)],
+                   "dual pivot row is not clean")
 
 
 def decompose(sigma: SymplecticMap) -> list[Gate]:
@@ -332,9 +338,7 @@ def decompose(sigma: SymplecticMap) -> list[Gate]:
     red = _Reduction(sigma)
     for t in range(group.num_factors):
         red.round(t)
-    m2 = 2 * group.num_factors
-    red.check(all(red.mat[i][j] == (1 if i == j else 0)
-                  for i in range(m2) for j in range(m2)),
+    red.check(np.array_equal(red.mat, np.eye(2 * group.num_factors, dtype=np.int64)),
               "reduction finished away from the identity")
     return [gate_inverse(g) for g in reversed(red.applied)]
 

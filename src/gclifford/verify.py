@@ -1,7 +1,9 @@
 """Per-group verification suites: the module invariants and protocol
 checks bundled behind one driver, reused by the CLI and the tests.
 
-Each check returns a dict {name, passed, detail}; the driver is fully
+Each check returns a dict {name, passed, detail}; a check that did not
+run (over the dense cap, or with no reference) passes with
+``"skipped": true`` and says why in its detail.  ``run_suite`` is fully
 deterministic for a given (group, seed) pair so report files are
 byte-identical across runs.
 """
@@ -138,6 +140,10 @@ def _check(name, passed, detail=""):
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
+def _skip(name, why):
+    return {"name": name, "passed": True, "detail": f"skipped: {why}", "skipped": True}
+
+
 def _suite_pauli(group: Group, seed: int, cap: int):
     rng = derived_rng(seed, "pauli")
     failures = []
@@ -171,7 +177,7 @@ def _suite_pauli(group: Group, seed: int, cap: int):
 def _suite_conjugation(group: Group, seed: int, cap: int):
     rng = derived_rng(seed, "conjugation")
     if group.order > cap:
-        return _check("conjugation-rules", True, "skipped: over dense cap")
+        return _skip("conjugation-rules", "over dense cap")
     gates = [FourierGate(HomMatrix.identity(group)),
              QuadraticGate(standard_nondegenerate_form(group))]
     for _ in range(4):
@@ -234,7 +240,7 @@ def _suite_two_local(group: Group, seed: int, cap: int):
     rng = derived_rng(seed, "two-local")
     seq = sorted(group.orders, reverse=True)
     if any(a % b for a, b in zip(seq, seq[1:])):
-        return _check("two-local", True, "skipped: orders not a chain")
+        return _skip("two-local", "orders not a chain")
     big = product_group(group, 2)
     failures = []
     for _ in range(8):
@@ -251,7 +257,7 @@ def _suite_two_local(group: Group, seed: int, cap: int):
 def _suite_backends(group: Group, seed: int, cap: int):
     rng = derived_rng(seed, "backends")
     if group.order ** 2 > cap:
-        return _check("backend-equivalence", True, "skipped: over dense cap")
+        return _skip("backend-equivalence", "over dense cap")
     failures = []
     for i in range(8):
         circuit = random_clifford_circuit(group, 2, rng, num_gates=8,
@@ -266,7 +272,7 @@ def _suite_backends(group: Group, seed: int, cap: int):
 
 def _suite_cx_protocol(group: Group, seed: int, cap: int):
     if group.order ** 3 > cap:
-        return _check("cx-protocol", True, "skipped: over dense cap")
+        return _skip("cx-protocol", "over dense cap")
     report = check_cx_protocol(group, cap)
     return _check("cx-protocol", report.passed,
                   f"{report.branch_count} branches")
@@ -274,7 +280,7 @@ def _suite_cx_protocol(group: Group, seed: int, cap: int):
 
 def _suite_triple(group: Group, seed: int, cap: int):
     if group.order > cap:
-        return _check("triple-identity", True, "skipped: over dense cap")
+        return _skip("triple-identity", "over dense cap")
     report = check_triple_identity(standard_nondegenerate_form(group), cap)
     return _check("triple-identity", report.passed,
                   ";".join(report.failures) or "scalar matches the phase sum")
@@ -282,7 +288,7 @@ def _suite_triple(group: Group, seed: int, cap: int):
 
 def _suite_split_fourier(group: Group, seed: int, cap: int):
     if group.order * 2 > cap:
-        return _check("split-fourier", True, "skipped: over dense cap")
+        return _skip("split-fourier", "over dense cap")
     report = check_split_fourier(standard_nondegenerate_form(group),
                                  make_group([2]), cap=cap)
     return _check("split-fourier", report.passed, ";".join(report.failures))
@@ -291,8 +297,7 @@ def _suite_split_fourier(group: Group, seed: int, cap: int):
 def _suite_injection(group: Group, seed: int, cap: int):
     table = builtin_magic_table(group)
     if table is None:
-        return _check("magic-injection", True,
-                      "skipped: no reference table for this group")
+        return _skip("magic-injection", "no reference table for this group")
     report = check_magic_injection(group, table, cap)
     return _check("magic-injection", report.passed,
                   f"{report.branch_count} branches")

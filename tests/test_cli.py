@@ -184,6 +184,20 @@ def test_verify_z2(tmp_path):
     assert out2.read_bytes() == out_path.read_bytes()
 
 
+def test_verify_reports_skipped_checks(tmp_path):
+    # Z2xZ3 is not a divisibility chain, and there is no magic table for it
+    out_path = tmp_path / "report.json"
+    code, text = run_cli(["verify", "--group", "2,3", "--seed", "0",
+                          "--out", str(out_path)])
+    assert code == 0, text
+    assert "skip  two-local (skipped: orders not a chain)\n" in text
+    assert "pass  two-local" not in text and "pass  decompose-roundtrip" in text
+    checks = {c["name"]: c for c in json.loads(out_path.read_text())["checks"]}
+    skipped = {name for name, c in checks.items() if c.get("skipped")}
+    assert skipped == {"two-local", "magic-injection"}
+    assert all(checks[name]["passed"] for name in skipped)
+
+
 def test_counterexample(tmp_path):
     code, text = run_cli(["counterexample", "--group", "2,4"])
     assert code == 0
@@ -307,7 +321,9 @@ def _set(images, index, **changes):
     (_set("x_images", 0, z=[1, 0]), "X image 0 does not have order dividing 2"),
     (lambda doc: doc["z_images"].pop(), "has 2 z_images, not 1"),
     (_set("z_images", 1, x=[0]), "Z image 1 has 1 x and 2 z residues"),
-    (_set("x_images", 1, x=[1, 0]), "does not preserve the pairing"),
+    # X_1 -> X_0 pairs with Z_0, which X_1 does not
+    (_set("x_images", 1, x=[1, 0]),
+     "does not preserve the pairing: X image 1 and Z image 0 do not pair"),
 ], ids=["square-minus-one", "phase-off-grid", "xz-square", "image-count",
         "residue-count", "pairing"])
 def test_malformed_tableau_document_exit_2(tmp_path, edit, message):

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from gclifford.clifford import (FourierGate, PauliGate, QuadraticGate,
-                                gate_tableau, preserves_pairing,
+                                gate_tableau, pairing_witness,
                                 sequence_tableau)
 from gclifford.elementary import random_automorphism
 from gclifford.errors import (NotExtendableError, NotSymplecticError)
@@ -60,6 +60,22 @@ def _brute_pairing(sig):
     return ok
 
 
+def _brute_witness(sig):
+    """The first column pair, in row-major order, whose ``Fraction``
+    pairing differs from that of the unit vectors."""
+    from gclifford.symplectic import beta_residues
+    g = sig.group
+    n = 2 * g.num_factors
+    cols = [[row[a] for row in sig.matrix.entries] for a in range(n)]
+    units = [[int(r == a) for r in range(n)] for a in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if beta_residues(g.orders, cols[a], cols[b]) != \
+                    beta_residues(g.orders, units[a], units[b]):
+                return (a, b)
+    return None
+
+
 def _brute_symplectic(sig):
     from gclifford.groups import is_automorphism
     return _brute_pairing(sig) and is_automorphism(sig.matrix)
@@ -68,8 +84,10 @@ def _brute_symplectic(sig):
 def _assert_matches_reference(sig):
     """The integer pairing check and ``is_symplectic`` against the
     ``Fraction`` pairing of every column pair; returns the verdict."""
-    assert preserves_pairing(sig.group.orders, sig.matrix.entries) == \
-        _brute_pairing(sig), sig.matrix
+    witness = pairing_witness(sig.group.orders, sig.matrix.entries)
+    assert (witness is None) == _brute_pairing(sig), sig.matrix
+    if witness is not None:
+        assert witness == _brute_witness(sig), sig.matrix
     verdict = is_symplectic(sig)
     assert verdict == _brute_symplectic(sig), sig.matrix
     return verdict
