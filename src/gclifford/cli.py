@@ -148,7 +148,7 @@ def cmd_counterexample(args, stdout) -> int:
 def cmd_protocol(args, stdout) -> int:
     from .forms import standard_nondegenerate_form
     from .protocols import (build_cx_protocol, build_magic_injection,
-                            build_split_fourier, builtin_magic_table,
+                            build_split_fourier, build_triple, builtin_magic_table,
                             check_cx_protocol, check_magic_injection,
                             check_split_fourier, check_triple_identity)
     group = parse_group(args.group)
@@ -174,11 +174,8 @@ def cmd_protocol(args, stdout) -> int:
             report = check_magic_injection(group, table, args.dense_cap)
     elif args.name == "triple":
         xi = standard_nondegenerate_form(group)
-        from .clifford import FourierGate, QuadraticGate
-        from .forms import i_xi_matrix
-        gates = [QuadraticGate(xi), FourierGate(i_xi_matrix(xi))] * 3
         if args.out:
-            cio.dump_document(cio.sequence_to_json(gates, group), args.out)
+            cio.dump_document(cio.sequence_to_json(build_triple(xi), group), args.out)
         report = check_triple_identity(xi, args.dense_cap)
     elif args.name == "split-fourier":
         spectator = parse_group(args.spectator)

@@ -19,7 +19,7 @@ from .intmat import identity_matrix
 
 __all__ = [
     "transvection", "scaling", "factor_swap",
-    "column_clear_moves", "apply_move", "move_to_hom",
+    "column_clear_moves", "apply_move", "move_to_hom", "moves_matrix",
     "automorphism_elementary_factors", "random_automorphism",
 ]
 
@@ -217,20 +217,28 @@ def _right_apply(orders, work, move) -> None:
             work[i][idx] = (work[i][idx] * unit) % orders[i]
 
 
+def moves_matrix(group: Group, moves) -> HomMatrix:
+    """The product of the moves, the first applied first: each acts as a
+    row operation on one integer matrix, validated once at the end."""
+    work = identity_matrix(group.num_factors)
+    for move in moves:
+        _left_apply(group.orders, work, move)
+    return HomMatrix(group, group, tuple(tuple(r) for r in work))
+
+
 def random_automorphism(group: Group, rng, length: int | None = None) -> HomMatrix:
     """A random automorphism sampled as a product of random elementary
-    moves (membership guaranteed by construction; not uniform).  The moves
-    act as row operations on one integer matrix, validated once."""
+    moves (membership guaranteed by construction; not uniform)."""
     orders = group.orders
     n = group.num_factors
     length = length if length is not None else 6 * n
-    work = identity_matrix(n)
+    moves = []
     for _ in range(length):
         if n == 1 or rng.random() < 0.3:
             idx = rng.randrange(n)
             q = orders[idx]
             units = [u for u in range(1, q) if gcd(u, q) == 1]
-            _left_apply(orders, work, ("scale", idx, rng.choice(units)))
+            moves.append(("scale", idx, rng.choice(units)))
         else:
             dst = rng.randrange(n)
             src = rng.randrange(n)
@@ -238,5 +246,5 @@ def random_automorphism(group: Group, rng, length: int | None = None) -> HomMatr
                 src = rng.randrange(n)
             step = orders[dst] // gcd(orders[dst], orders[src])
             coeff = step * rng.randrange(orders[dst] // step)
-            _left_apply(orders, work, ("transvect", dst, src, coeff))
-    return HomMatrix(group, group, tuple(tuple(r) for r in work))
+            moves.append(("transvect", dst, src, coeff))
+    return moves_matrix(group, moves)

@@ -34,17 +34,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Character:
-    group: Group
-    residues: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.residues) != self.group.num_factors:
-            raise ValueError("residue count does not match the group")
-        object.__setattr__(
-            self, "residues",
-            tuple(r % q for r, q in zip(self.residues, self.group.orders)))
+class Character(GroupElement):
+    """A character of the group, on the same residues as an element: the
+    character n -> exp(2*pi*i*n/q) on each factor.  Its arithmetic is the
+    element arithmetic, but it never equals an element."""
 
     @classmethod
     def trivial(cls, group: Group) -> "Character":
@@ -56,24 +49,6 @@ class Character:
         res[i] = 1
         return cls(group, tuple(res))
 
-    def _check(self, other: "Character"):
-        if self.group != other.group:
-            raise GroupMismatchError("characters of different groups")
-
-    def __add__(self, other: "Character") -> "Character":
-        self._check(other)
-        return Character(self.group, tuple(a + b for a, b in zip(self.residues, other.residues)))
-
-    def __sub__(self, other: "Character") -> "Character":
-        self._check(other)
-        return Character(self.group, tuple(a - b for a, b in zip(self.residues, other.residues)))
-
-    def __neg__(self) -> "Character":
-        return Character(self.group, tuple(-a for a in self.residues))
-
-    def is_trivial(self) -> bool:
-        return all(r == 0 for r in self.residues)
-
     def eval(self, g: GroupElement) -> Phase:
         if g.group != self.group:
             raise GroupMismatchError("character evaluated outside its group")
@@ -81,13 +56,6 @@ class Character:
         for c, x, q in zip(self.residues, g.residues, self.group.orders):
             total += Fraction(c * x, q)
         return Phase.from_fraction(total)
-
-    def as_element(self) -> GroupElement:
-        return GroupElement(self.group, self.residues)
-
-    @classmethod
-    def from_element(cls, g: GroupElement) -> "Character":
-        return cls(g.group, g.residues)
 
 
 def char_eval(chi: Character, g: GroupElement) -> Phase:
@@ -358,7 +326,7 @@ def i_xi_matrix(xi: QuadraticForm) -> HomMatrix:
 def i_xi(xi: QuadraticForm, chi: Character) -> GroupElement:
     if chi.group != xi.group:
         raise GroupMismatchError("character outside the form's group")
-    return i_xi_matrix(xi).apply(chi.as_element())
+    return i_xi_matrix(xi).apply(chi)
 
 
 def i_xi_inverse(xi: QuadraticForm, t: GroupElement) -> Character:
@@ -366,7 +334,7 @@ def i_xi_inverse(xi: QuadraticForm, t: GroupElement) -> Character:
     hom = induced_hom(polarize(xi))
     if not is_automorphism(hom):
         raise DegenerateFormError("quadratic form is degenerate")
-    return Character.from_element(-hom.apply(t))
+    return Character(t.group, (-hom.apply(t)).residues)
 
 
 def standard_nondegenerate_form(group: Group) -> QuadraticForm:

@@ -115,14 +115,14 @@ class GroupElement:
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         self._check(other)
-        return GroupElement(self.group, tuple(a + b for a, b in zip(self.residues, other.residues)))
+        return type(self)(self.group, tuple(a + b for a, b in zip(self.residues, other.residues)))
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         self._check(other)
-        return GroupElement(self.group, tuple(a - b for a, b in zip(self.residues, other.residues)))
+        return type(self)(self.group, tuple(a - b for a, b in zip(self.residues, other.residues)))
 
     def __neg__(self) -> "GroupElement":
-        return GroupElement(self.group, tuple(-a for a in self.residues))
+        return type(self)(self.group, tuple(-a for a in self.residues))
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.residues)

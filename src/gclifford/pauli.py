@@ -43,11 +43,11 @@ class PauliVector:
             raise GroupMismatchError("vector components over different groups")
 
     def is_zero(self) -> bool:
-        return self.x.is_zero() and self.z.is_trivial()
+        return self.x.is_zero() and self.z.is_zero()
 
     @property
     def order(self) -> int:
-        return lcm(self.x.order, self.z.as_element().order)
+        return lcm(self.x.order, self.z.order)
 
     def residues(self) -> tuple[int, ...]:
         return self.x.residues + self.z.residues
@@ -117,7 +117,7 @@ class PauliOperator:
         return out
 
     def is_identity(self) -> bool:
-        return self.phase.is_zero() and self.x.is_zero() and self.z.is_trivial()
+        return self.phase.is_zero() and self.x.is_zero() and self.z.is_zero()
 
     def __repr__(self) -> str:
         return (f"Pauli({self.phase.as_string()}; X{self.x.residues}"

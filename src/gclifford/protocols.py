@@ -6,7 +6,9 @@ shift uses slots (control, ancilla, target) = (0, 1, 2) with corrections
 Z_chi on the control, X_{-q} on the ancilla and X_{p-q} on the target;
 magic injection measures the bottom qudit in the Z basis and corrects the
 top with the quadratic form fitted to minus the difference table of the
-injected phase function.
+injected phase function.  The split-subgroup Fourier circuit is the
+compiler's own ``symplectic.split_fourier_gates``, and the (F S)^3 gate
+list is ``build_triple``, which the CLI writes out.
 """
 
 from __future__ import annotations
@@ -25,17 +27,18 @@ from .dense import (DEFAULT_DENSE_CAP, basis_state, element_index,
                     enumerate_branches, gate_matrix, states_equal_up_to_phase)
 from .errors import (DegenerateFormError, PreconditionFailedError,
                      ResourceCapError)
-from .forms import (QuadraticForm, fit_quadratic_table, i_xi_matrix,
-                    induced_hom, is_nondegenerate, polarize)
+from .forms import QuadraticForm, fit_quadratic_table, i_xi_matrix, is_nondegenerate
 from .groups import (Group, HomMatrix, invert_automorphism,
                      is_automorphism, make_group, product_group)
 from .pauli import PauliOperator
 from .phases import Phase
+from .symplectic import split_fourier_gates, split_fourier_iso
 
 __all__ = [
     "ProtocolReport", "build_cx_protocol", "check_cx_protocol",
     "builtin_magic_table", "build_magic_injection", "check_magic_injection",
-    "check_triple_identity", "build_split_fourier", "check_split_fourier",
+    "build_triple", "check_triple_identity", "build_split_fourier",
+    "check_split_fourier",
     "cx_insufficiency_certificate",
 ]
 
@@ -220,6 +223,12 @@ def check_magic_injection(base: Group, table, cap: int = DEFAULT_DENSE_CAP,
 # ---------------------------------------------------------------------------
 # Fourier / quadratic-phase identities
 
+def build_triple(xi: QuadraticForm) -> list:
+    """The gates of (F S)^3, applied first to last: S, F, S, F, S, F with
+    S the quadratic gate of ``xi`` and F the Fourier gate of ``i_xi``."""
+    return [QuadraticGate(xi), FourierGate(i_xi_matrix(xi))] * 3
+
+
 def check_triple_identity(xi: QuadraticForm, cap: int = DEFAULT_DENSE_CAP,
                           tol: float = 1e-9) -> ProtocolReport:
     """(F S)^3 must be the scalar given by the normalized phase sum of the
@@ -228,8 +237,9 @@ def check_triple_identity(xi: QuadraticForm, cap: int = DEFAULT_DENSE_CAP,
     report = ProtocolReport("fourier-quadratic-triple", group.literal())
     if not is_nondegenerate(xi):
         raise DegenerateFormError("the triple identity needs a non-degenerate form")
-    fmat = gate_matrix(FourierGate(i_xi_matrix(xi)), group, cap)
-    smat = gate_matrix(QuadraticGate(xi), group, cap)
+    # the six gates repeat (S, F); cubing F S rather than folding all six
+    # keeps the floating-point rounding of the reported scalar
+    smat, fmat = (gate_matrix(gate, group, cap) for gate in build_triple(xi)[:2])
     u = fmat @ smat
     u3 = u @ u @ u
     dim = group.order
@@ -254,48 +264,18 @@ def check_triple_identity(xi: QuadraticForm, cap: int = DEFAULT_DENSE_CAP,
     return report
 
 
-def split_fourier_iso(xi: QuadraticForm) -> HomMatrix:
-    """Iso matrix of the Fourier gate the split circuit realizes on the
-    top wire: the inverse of the polarization's induced map."""
-    return invert_automorphism(induced_hom(polarize(xi)))
-
-
 def build_split_fourier(xi: QuadraticForm, h_group: Group,
                         i_h: HomMatrix | None = None) -> Circuit:
     """One-register circuit over G x H acting as a Fourier transform on
-    the G factors and the identity on H, built from full-group gates only:
-    S, F, S, F, S with a block-diagonal isomorphism, then inversion on H.
+    the G factors and the identity on H: the compiler's split-subgroup
+    circuit ``split_fourier_gates`` with the block G first and ``i_h``
+    (the identity by default) as the spectator isomorphism.
     """
     if not is_nondegenerate(xi):
         raise DegenerateFormError("split Fourier needs a non-degenerate form")
-    g_group = xi.group
-    if i_h is None:
-        i_h = HomMatrix.identity(h_group)
-    gm, hm = g_group.num_factors, h_group.num_factors
-    combined = Group(g_group.orders + h_group.orders)
-    m = gm + hm
-    diag = xi.diag + (0,) * hm
-    cross = tuple(tuple(xi.cross[i][j] if i < gm and j < gm else 0
-                        for j in range(m)) for i in range(m))
-    s_gate = QuadraticGate(QuadraticForm(combined, diag, cross, (0,) * m))
-    ixi = i_xi_matrix(xi)
-    iso = [[0] * m for _ in range(m)]
-    for i in range(gm):
-        for j in range(gm):
-            iso[i][j] = ixi.entries[i][j]
-    for i in range(hm):
-        for j in range(hm):
-            iso[gm + i][gm + j] = i_h.entries[i][j]
-    f_gate = FourierGate(HomMatrix(combined, combined,
-                                   tuple(tuple(r) for r in iso)))
-    inv = [[0] * m for _ in range(m)]
-    for i in range(m):
-        inv[i][i] = 1 if i < gm else -1
-    a_gate = AutomorphismGate(HomMatrix(combined, combined,
-                                        tuple(tuple(r) for r in inv)))
-    ops = tuple(GateOp(g, (0,)) for g in
-                (s_gate, f_gate, s_gate, f_gate, s_gate, a_gate))
-    return Circuit(combined, 1, ops)
+    combined = Group(xi.group.orders + h_group.orders)
+    gates = split_fourier_gates(combined, xi, 0, i_h)
+    return Circuit(combined, 1, tuple(GateOp(g, (0,)) for g in gates))
 
 
 def check_split_fourier(xi: QuadraticForm, h_group: Group,

@@ -15,9 +15,12 @@ decompositions is imaged and validated once; products are array products
 reduced mod the orders.
 
 Fourier moves on a strict subset of the factors are not generator gates;
-they are synthesized with the split-subgroup circuit (two full Fourier
-gates sandwiched between three quadratic gates, plus an inversion on the
-spectator factors), whose net image acts as identity on the cleared block.
+they are synthesized with the split-subgroup circuit
+(``split_fourier_gates``: two full Fourier gates sandwiched between three
+quadratic gates, plus an inversion on the spectator factors), whose net
+image acts as identity on the cleared block.  It is the one statement of
+that circuit: ``protocols.build_split_fourier`` emits it with the block
+first, and the dense oracle checks it there.
 """
 
 from __future__ import annotations
@@ -33,11 +36,12 @@ from .clifford import (AutomorphismGate, CliffordTableau, FourierGate, Gate,
                        gate_image,  # noqa: F401  (re-exported: tests and perfbench read it here)
                        gate_inverse, gate_pauli, image_array, image_name,
                        matrix_dtype, pairing_witness, sequence_tableau)
-from .elementary import column_clear_moves, move_to_hom
-from .errors import (NotExtendableError, NotSymplecticError, ReductionError)
+from .elementary import column_clear_moves, moves_matrix
+from .errors import (GroupMismatchError, NotExtendableError, NotSymplecticError,
+                     ReductionError)
 from .forms import (QuadraticForm, SymmetricBilinearForm,
                     bilinear_from_hom, induced_hom, i_xi_matrix, lift_bilinear,
-                    standard_nondegenerate_form)
+                    polarize, standard_nondegenerate_form)
 from .groups import (Group, GroupElement, HomMatrix, invert_automorphism,
                      is_automorphism)
 from .intmat import stab_multiplier
@@ -48,6 +52,7 @@ __all__ = [
     "SymplecticMap", "is_symplectic", "sequence_image",
     "tableau_image", "extend_to_automorphism", "decompose",
     "decompose_clifford", "random_symplectic", "split_fourier_gates",
+    "split_fourier_iso",
 ]
 
 
@@ -122,49 +127,63 @@ def extend_to_automorphism(v: GroupElement) -> HomMatrix:
     group = v.group
     if not group.canonical:
         raise NotExtendableError("extension requires a canonical group")
-    vec = list(v.residues)
-    moves = column_clear_moves(group.orders, vec, 0, list(range(group.num_factors)))
-    tau = HomMatrix.identity(group)
-    for mv in moves:
-        tau = move_to_hom(group, mv).compose(tau)
+    tau = moves_matrix(group, column_clear_moves(group.orders, list(v.residues), 0,
+                                                 list(range(group.num_factors))))
     if not (is_automorphism(tau) and tau.apply(v) == group.generator(0)):
         raise NotExtendableError("constructed map failed validation")
     return tau
 
 
-def split_fourier_gates(group: Group, pivot: int) -> list[Gate]:
-    """Gate list acting as a Fourier transform on factors ``pivot..`` and
-    as the identity on factors below ``pivot`` (up to global phase).
+def _extend_by_zero(group: Group, form: QuadraticForm, start: int) -> QuadraticForm:
+    """``form`` on the factors ``start, start+1, ...`` of ``group``, read
+    as a form on all of ``group`` that ignores the other factors."""
+    m, k = group.num_factors, form.group.num_factors
 
-    For pivot == 0 this is a single canonical Fourier gate; otherwise the
-    split-subgroup circuit: S, F, S, F, S on the full group with a
-    block-diagonal isomorphism, then an inversion on the spectator block.
+    def pad(row):
+        return (0,) * start + tuple(row) + (0,) * (m - start - k)
+
+    zero_rows = ((0,) * m,)
+    cross = zero_rows * start + tuple(map(pad, form.cross)) + zero_rows * (m - start - k)
+    return QuadraticForm(group, pad(form.diag), cross, pad(form.linear))
+
+
+def split_fourier_gates(group: Group, xi: QuadraticForm, start: int,
+                        spectator_iso: HomMatrix | None = None) -> list[Gate]:
+    """The split-subgroup circuit: a Fourier transform on the block of
+    factors ``start, start+1, ...`` that ``xi`` lives on, and the identity
+    on the other (spectator) factors, up to global phase.
+
+    The gates are S, F, S, F, S on the full group, then A: S is ``xi``
+    extended by zero, F has the block-diagonal iso matrix
+    ``i_xi_matrix(xi)`` on the block and ``spectator_iso`` (the identity
+    by default) on the spectators, and A inverts the spectators.  The
+    block's transform is the Fourier gate of ``split_fourier_iso(xi)``.
     """
-    m = group.num_factors
-    if pivot == 0:
-        return [FourierGate(HomMatrix.identity(group))]
-    tail = Group(group.orders[pivot:])
-    xi_tail = standard_nondegenerate_form(tail)
-    # the tail form acted on the full group (zero on spectator factors)
-    diag = (0,) * pivot + xi_tail.diag
-    cross = tuple(tuple(0 for _ in range(m)) for _ in range(pivot)) + tuple(
-        (0,) * pivot + row for row in xi_tail.cross)
-    s_gate = QuadraticGate(QuadraticForm(group, diag, cross, (0,) * m))
-    # block-diagonal iso: identity on spectators, i_xi on the tail
-    ixi = i_xi_matrix(xi_tail)
-    iso = [[0] * m for _ in range(m)]
-    for i in range(pivot):
-        iso[i][i] = 1
-    for i in range(m - pivot):
-        for j in range(m - pivot):
-            iso[pivot + i][pivot + j] = ixi.entries[i][j]
-    f_gate = FourierGate(HomMatrix(group, group, tuple(tuple(r) for r in iso)))
-    # inversion on the spectator block only
-    inv = [[0] * m for _ in range(m)]
-    for i in range(m):
-        inv[i][i] = -1 if i < pivot else 1
-    a_inv = AutomorphismGate(HomMatrix(group, group, tuple(tuple(r) for r in inv)))
-    return [s_gate, f_gate, s_gate, f_gate, s_gate, a_inv]
+    m, k = group.num_factors, xi.group.num_factors
+    block = range(start, start + k)
+    if group.orders[start:start + k] != xi.group.orders:
+        raise GroupMismatchError("the form's group is not the block at start")
+    spectators = [i for i in range(m) if i not in block]
+    iso = [[int(i == j) for j in range(m)] for i in range(m)]
+    blocks = [(block, i_xi_matrix(xi))]
+    if spectator_iso is not None:
+        blocks.append((spectators, spectator_iso))
+    for idx, hom in blocks:
+        for a, i in enumerate(idx):
+            for b, j in enumerate(idx):
+                iso[i][j] = hom.entries[a][b]
+    inv = tuple(tuple((-1 if i in spectators else 1) if i == j else 0 for j in range(m))
+                for i in range(m))
+    s_gate = QuadraticGate(_extend_by_zero(group, xi, start))
+    f_gate = FourierGate(HomMatrix(group, group, tuple(map(tuple, iso))))
+    a_gate = AutomorphismGate(HomMatrix(group, group, inv))
+    return [s_gate, f_gate, s_gate, f_gate, s_gate, a_gate]
+
+
+def split_fourier_iso(xi: QuadraticForm) -> HomMatrix:
+    """Iso matrix of the Fourier gate the split circuit realizes on the
+    block: the inverse of the polarization's induced map."""
+    return invert_automorphism(induced_hom(polarize(xi)))
 
 
 class _Reduction:
@@ -207,7 +226,11 @@ class _Reduction:
             return
         m, q = self.m, self.orders
         remaining = list(range(t, m))
-        fourier_gates = split_fourier_gates(self.group, t)
+        if t == 0:
+            fourier_gates = [FourierGate(HomMatrix.identity(self.group))]
+        else:
+            fourier_gates = split_fourier_gates(
+                self.group, standard_nondegenerate_form(Group(q[t:])), t)
 
         # Combine each (r_i, r_i') pair of the pivot column into its Z^ slot.
         col = self.column(t)
@@ -246,10 +269,7 @@ class _Reduction:
         for i in remaining:
             order = lcm(order, q[i] // gcd(q[i], vec[i]))
         self.check(order == q[t], "pivot column lost its maximal order")
-        moves = column_clear_moves(list(q), vec, t, remaining)
-        tau = HomMatrix.identity(self.group)
-        for mv in moves:
-            tau = move_to_hom(self.group, mv).compose(tau)
+        tau = moves_matrix(self.group, column_clear_moves(list(q), vec, t, remaining))
         self.apply([AutomorphismGate(tau)])
         col = self.column(t)
         self.check(col[:m] == [1 if i == t else 0 for i in range(m)],
@@ -307,11 +327,8 @@ class _Reduction:
             binner = m_inv.dual().compose(cstar_mat).compose(m_inv)
             bneg = HomMatrix(tail, tail,
                              tuple(tuple(-v for v in row) for row in binner.entries))
-            form_tail = lift_bilinear(bilinear_from_hom(bneg))
-            diag = (0,) * t + form_tail.diag
-            cross = tuple((0,) * m for _ in range(t)) + tuple(
-                (0,) * t + row for row in form_tail.cross)
-            s_hat = QuadraticGate(QuadraticForm(self.group, diag, cross, (0,) * m))
+            s_hat = QuadraticGate(_extend_by_zero(
+                self.group, lift_bilinear(bilinear_from_hom(bneg)), t))
             gates = list(fourier_gates) + [s_hat] + \
                 [gate_inverse(gg) for gg in reversed(fourier_gates)]
             self.apply(gates)

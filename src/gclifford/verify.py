@@ -164,12 +164,12 @@ def _suite_pauli(group: Group, seed: int, cap: int):
             failures.append("associativity")
         if (p * q).phase - (q * p).phase != beta(p.vector(), q.vector()):
             failures.append("beta mismatch")
-    if group.order <= 16:
+    if group.order <= min(16, cap):
         from .dense import pauli_matrix
         for _ in range(10):
             p, q = random_pauli_operator(group, rng), random_pauli_operator(group, rng)
-            if np.max(np.abs(pauli_matrix(p) @ pauli_matrix(q)
-                             - pauli_matrix(p * q))) > 1e-9:
+            if np.max(np.abs(pauli_matrix(p, cap) @ pauli_matrix(q, cap)
+                             - pauli_matrix(p * q, cap))) > 1e-9:
                 failures.append("dense product")
     return _check("pauli-algebra", not failures, ";".join(sorted(set(failures))))
 
@@ -298,6 +298,8 @@ def _suite_injection(group: Group, seed: int, cap: int):
     table = builtin_magic_table(group)
     if table is None:
         return _skip("magic-injection", "no reference table for this group")
+    if group.order ** 2 > cap:
+        return _skip("magic-injection", "over dense cap")
     report = check_magic_injection(group, table, cap)
     return _check("magic-injection", report.passed,
                   f"{report.branch_count} branches")

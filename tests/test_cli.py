@@ -198,6 +198,33 @@ def test_verify_reports_skipped_checks(tmp_path):
     assert all(checks[name]["passed"] for name in skipped)
 
 
+@pytest.mark.parametrize("group,cap", [("3", "8"), ("2", "3")])
+def test_verify_honours_dense_cap(tmp_path, group, cap, monkeypatch):
+    import gclifford.dense as dense
+    dims = []
+    real = dense.pauli_matrix
+
+    def recording(p, cap=dense.DEFAULT_DENSE_CAP):
+        dims.append((p.group.order, cap))
+        return real(p, cap)
+
+    monkeypatch.setattr(dense, "pauli_matrix", recording)
+    out_path = tmp_path / "report.json"
+    code, text = run_cli(["verify", "--group", group, "--seed", "0",
+                          "--dense-cap", cap, "--out", str(out_path)])
+    assert code == 0, text
+    assert "skip  magic-injection (skipped: over dense cap)\n" in text
+    checks = {c["name"]: c for c in json.loads(out_path.read_text())["checks"]}
+    assert checks["magic-injection"]["skipped"] is True
+    assert dims and all(dim <= int(cap) == c for dim, c in dims)
+    # below the group order the Pauli check builds no dense matrix at all
+    dims.clear()
+    code, text = run_cli(["verify", "--group", group, "--seed", "0",
+                          "--dense-cap", "1"])
+    assert code == 0, text
+    assert dims == []
+
+
 def test_counterexample(tmp_path):
     code, text = run_cli(["counterexample", "--group", "2,4"])
     assert code == 0

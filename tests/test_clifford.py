@@ -70,7 +70,7 @@ def test_automorphism_gate_examples():
     x0 = PauliOperator.x_shift(g.element((1, 0)))
     img = t.conjugate(x0)
     assert img.phase.is_zero()
-    assert img.x.residues == (1, 1) and img.z.is_trivial()
+    assert img.x.residues == (1, 1) and img.z.is_zero()
     # identical to the CX tableau over Z2 x Z2
     base = make_group([2])
     assert t == gate_tableau(CXGate(), product_group(base, 2))

@@ -66,6 +66,16 @@ def test_char_additivity():
                 assert chi.eval(a + b) == chi.eval(a) + chi.eval(b)
 
 
+def test_character_arithmetic_stays_on_the_dual_side():
+    g = make_group([4, 2])
+    chi, psi = Character(g, (1, 1)), Character.generator(g, 0)
+    for value in (chi + psi, chi - psi, -chi):
+        assert type(value) is Character
+    assert chi + psi == Character(g, (2, 1)) and (-chi).residues == (3, 1)
+    assert chi != g.element((1, 1)) and g.element((1, 1)) != chi
+    assert (chi - chi).is_zero() and chi.order == 4
+
+
 def test_quad_eval_examples():
     z2 = make_group([2])
     s_like = QuadraticForm.diagonal(z2, (1,))

@@ -2,19 +2,22 @@ import itertools
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
 from gclifford.clifford import (FourierGate, PauliGate, QuadraticGate,
                                 gate_tableau, pairing_witness,
                                 sequence_tableau)
+from gclifford.dense import gate_matrix
 from gclifford.elementary import random_automorphism
 from gclifford.errors import (NotExtendableError, NotSymplecticError)
+from gclifford.forms import standard_nondegenerate_form
 from gclifford.groups import HomMatrix, make_group
 from gclifford.symplectic import (SymplecticMap, decompose, decompose_clifford,
                                   doubled_group, extend_to_automorphism,
                                   gate_image, is_symplectic, random_symplectic,
                                   sequence_image, split_fourier_gates,
-                                  tableau_image)
+                                  split_fourier_iso, tableau_image)
 
 from test_clifford import random_gate, random_quadratic
 
@@ -183,7 +186,8 @@ def test_split_fourier_image_blocks():
         g = make_group(orders)
         m = g.num_factors
         for pivot in range(m):
-            gates = split_fourier_gates(g, pivot)
+            xi = standard_nondegenerate_form(make_group(orders[pivot:]))
+            gates = split_fourier_gates(g, xi, pivot)
             img = sequence_image(gates, g).matrix
             for i in range(pivot):
                 for pos in (i, m + i):
@@ -193,6 +197,25 @@ def test_split_fourier_image_blocks():
                 for j in range(pivot, m):
                     assert img.entries[i][j] == 0
                     assert img.entries[m + i][m + j] == 0
+
+
+@pytest.mark.parametrize("orders", [(4, 2), (2, 2), (6, 2), (4, 4, 2), (3, 3), (2, 2, 2)])
+def test_split_fourier_dense_layout(orders):
+    """The compiler's layout, spectators first: the dense product of the
+    circuit is I (x) F on the block, up to one phase."""
+    g = make_group(orders)
+    for t in range(1, g.num_factors):
+        block = make_group(orders[t:])
+        xi = standard_nondegenerate_form(block)
+        u = np.eye(g.order, dtype=complex)
+        for gate in split_fourier_gates(g, xi, t):
+            u = gate_matrix(gate, g) @ u
+        target = np.kron(np.eye(make_group(orders[:t]).order),
+                         gate_matrix(FourierGate(split_fourier_iso(xi)), block))
+        idx = np.unravel_index(np.argmax(np.abs(target)), target.shape)
+        phase = u[idx] / target[idx]
+        assert abs(abs(phase) - 1) < 1e-9, (orders, t)
+        assert np.max(np.abs(u - phase * target)) < 1e-9, (orders, t)
 
 
 def test_random_symplectic_is_symplectic():
