@@ -8,9 +8,15 @@ write an exponent outcome to a named register; classically controlled
 corrections reference registers by name and a built-in correction function
 (the measurement-based CX and magic-injection fix-ups are built-ins).
 
-:func:`interpret` is the only loop over a circuit's operations.  It drives
-either backend through three calls (apply a gate, list the outcomes of an
-observable with their probabilities, project onto one) and states the
+One helper, ``_advance``, is the only loop that runs a circuit's operations:
+it applies the gates and the memoized corrections up to the next
+measurement and lists that measurement's outcomes with their
+probabilities.  It drives either backend through three calls (apply a
+gate, list the outcomes of an observable, project onto one).
+:func:`interpret` follows every outcome or one drawn per measurement;
+:func:`sample_records` draws many shots through a trie of record prefixes
+and runs the backend only when a shot reaches a new prefix.
+:func:`sample_outcome` states the
 sampling rule once: a measurement draws a random number only when it has
 more than one outcome.
 
@@ -219,6 +225,32 @@ def sample_outcome(rng, pairs):
     return pairs[-1]
 
 
+def _advance(circuit: Circuit, backend, state, start: int, record: dict, memo: dict):
+    """Run ``circuit.ops[start:]`` up to the next measurement and list its
+    outcomes: (state, op index, pairs, support), or (state, len(ops),
+    None, None) when no measurement is left.
+
+    ``memo`` holds the embedded observables by op index and the resolved
+    corrections by (op index, registers read), which many records share.
+    """
+    base, ops = circuit.base, circuit.ops
+    for i in range(start, len(ops)):
+        op = ops[i]
+        if isinstance(op, GateOp):
+            state = backend.apply(state, op.gate, op.slots)
+        elif isinstance(op, CorrectionOp):
+            key = (i, tuple(record[a] for a in op.args))
+            if key not in memo:
+                memo[key] = resolve_correction(op, base, record)
+            state = backend.apply(state, memo[key], op.slots)
+        elif isinstance(op, MeasureOp):
+            if i not in memo:
+                memo[i] = embed_vector(op.observable(base), op.slots, base, circuit.n)
+            pairs, support = backend.outcomes(state, memo[i])
+            return state, i, pairs, support
+    return state, len(ops), None, None
+
+
 def interpret(circuit: Circuit, backend, state, rng=None) -> list:
     """Run the circuit's operations from ``state``; returns its branches as
     (record, final state, probability) in ascending record order.
@@ -232,37 +264,28 @@ def interpret(circuit: Circuit, backend, state, rng=None) -> list:
     ``unit``, the probability of the empty record.  Magic preparations
     belong to the initial state.
     """
-    base, n, ops = circuit.base, circuit.n, circuit.ops
-    # observables by op index; corrections by (op index, registers read),
-    # which many branches share
     memo: dict = {}
     branches = []
 
     def walk(state, start: int, record: dict, prob):
-        for i in range(start, len(ops)):
-            op = ops[i]
-            if isinstance(op, GateOp):
-                state = backend.apply(state, op.gate, op.slots)
-            elif isinstance(op, CorrectionOp):
-                key = (i, tuple(record[a] for a in op.args))
-                if key not in memo:
-                    memo[key] = resolve_correction(op, base, record)
-                state = backend.apply(state, memo[key], op.slots)
-            elif isinstance(op, MeasureOp):
-                if i not in memo:
-                    memo[i] = embed_vector(op.observable(base), op.slots, base, n)
-                pairs, support = backend.outcomes(state, memo[i])
-                if rng is not None:
-                    pairs = [sample_outcome(rng, pairs)]
-                for s, p in pairs[:-1]:
-                    walk(backend.project(state, support, s, False), i + 1,
-                         {**record, op.register: s}, prob * p)
-                # the last outcome continues here and may reuse the state
-                s, p = pairs[-1]
-                state = backend.project(state, support, s, True)
-                record[op.register] = s
-                prob = prob * p
-        branches.append((record, state, prob))
+        while True:
+            state, i, pairs, support = _advance(circuit, backend, state, start,
+                                                record, memo)
+            if pairs is None:
+                branches.append((record, state, prob))
+                return
+            if rng is not None:
+                pairs = [sample_outcome(rng, pairs)]
+            register = circuit.ops[i].register
+            for s, p in pairs[:-1]:
+                walk(backend.project(state, support, s, False), i + 1,
+                     {**record, register: s}, prob * p)
+            # the last outcome continues here and may reuse the state
+            s, p = pairs[-1]
+            state = backend.project(state, support, s, True)
+            record[register] = s
+            prob = prob * p
+            start = i + 1
 
     walk(state, 0, {}, backend.unit)
     return branches
@@ -274,6 +297,64 @@ def sample_trajectory(circuit: Circuit, backend, state, rng=None, seed=None):
         rng = random.Random(seed)
     [(record, state, _prob)] = interpret(circuit, backend, state, rng)
     return state, record
+
+
+def sample_records(circuit: Circuit, backend, state, rng, shots: int) -> list:
+    """The records of ``shots`` trajectories from ``state``: the records,
+    and the ``rng`` draws, of as many :func:`sample_trajectory` calls.
+
+    The draws walk a trie keyed by the outcomes so far, whose nodes keep
+    only (op index, outcome pairs); the backend runs only for a node that
+    no earlier shot reached.  Pre-measurement states and supports are kept
+    along the most recently computed path, one per measurement, and a new
+    node resumes from the deepest of them on its own prefix.  ``state`` is
+    consumed as by :func:`interpret`.
+    """
+    memo: dict = {}
+    trie: dict = {}
+    # path[d]: (op index, state, support) of measurement d on path_key
+    path: list = []
+    path_key: tuple = ()
+
+    def extend(now, start: int, record: dict):
+        now, i, pairs, support = _advance(circuit, backend, now, start, record, memo)
+        if pairs is not None:
+            path.append((i, now, support))
+        return i, pairs
+
+    def grow(key: tuple, record: dict):
+        nonlocal path_key
+        if not key:
+            node = extend(state, 0, record)
+        else:
+            d = 0
+            while d < len(key) - 1 and d + 1 < len(path) and key[d] == path_key[d]:
+                d += 1
+            # resume from path[d], the deepest state on this key's prefix, and
+            # rerun the known nodes below it; the projection leaves path[d]
+            # intact for later nodes
+            for d in range(d, len(key)):
+                i, before, support = path[d]
+                del path[d + 1:]
+                node = extend(backend.project(before, support, key[d], False),
+                              i + 1, record)
+        path_key = key
+        trie[key] = node
+        return node
+
+    records = []
+    for _ in range(shots):
+        key: tuple = ()
+        record: dict = {}
+        while True:
+            i, pairs = trie.get(key) or grow(key, record)
+            if pairs is None:
+                break
+            s, _p = sample_outcome(rng, pairs)
+            record[circuit.ops[i].register] = s
+            key += (s,)
+        records.append(record)
+    return records
 
 
 # ---------------------------------------------------------------------------

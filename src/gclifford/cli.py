@@ -14,6 +14,7 @@ import random
 import sys
 
 from . import circuits as cio
+from . import dense, stabilizer
 from .dense import DEFAULT_DENSE_CAP
 from .errors import (BackendCapabilityError, NotSymplecticError,
                      PreconditionFailedError, ReductionError, ResourceCapError)
@@ -83,9 +84,8 @@ def cmd_simulate(args, stdout) -> int:
     if args.branches:
         if args.backend != "dense":
             raise ValueError("--branches needs the dense backend")
-        from .dense import enumerate_branches
         rows = []
-        for record, _state, prob in enumerate_branches(circuit, args.dense_cap):
+        for record, _state, prob in dense.enumerate_branches(circuit, args.dense_cap):
             rows.append({"record": dict(sorted(record.items())),
                          "probability": prob})
         rows.sort(key=lambda r: tuple(sorted(r["record"].items())))
@@ -96,15 +96,14 @@ def cmd_simulate(args, stdout) -> int:
         return EXIT_OK
     if args.seed is None:
         raise ValueError("--seed is required when sampling")
-    rng = random.Random(args.seed)
+    if args.backend == "dense":
+        backend = dense._Backend(circuit, args.dense_cap)
+        state = dense._initial_vector(circuit, args.dense_cap)
+    else:
+        backend, state = stabilizer._Backend, stabilizer._initial_state(circuit)
     frequencies: dict[str, dict[int, int]] = {}
-    for _ in range(args.shots):
-        if args.backend == "dense":
-            from .dense import run_circuit
-            _state, record = run_circuit(circuit, rng=rng, cap=args.dense_cap)
-        else:
-            from .stabilizer import run_circuit
-            _state, record = run_circuit(circuit, rng=rng)
+    for record in cio.sample_records(circuit, backend, state,
+                                     random.Random(args.seed), args.shots):
         for reg, val in record.items():
             frequencies.setdefault(reg, {})[val] = \
                 frequencies.setdefault(reg, {}).get(val, 0) + 1

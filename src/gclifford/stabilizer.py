@@ -29,8 +29,10 @@ collapse, whose invariants it re-checks.  The arrays have the dtype of
 boundary.  Correctness is established against the dense oracle rather
 than by theory alone.
 
-Circuits run through :func:`circuits.interpret`; a sampled measurement
-collapses the state in place, and only enumeration clones it per branch.
+Circuits run through :func:`circuits.interpret`: a sampled trajectory
+collapses the state in place, and enumeration clones it per branch.
+:func:`circuits.sample_records` keeps the state before each measurement
+of its current path, so it clones at each trie node it computes.
 """
 
 from __future__ import annotations

@@ -1,11 +1,16 @@
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.strategies import integers
 
-from gclifford.circuits import Circuit, CorrectionOp, GateOp, MagicPrepOp, MeasureOp
-from gclifford.clifford import (AutomorphismGate, CXGate, FourierGate,
+from gclifford import dense, stabilizer
+from gclifford.circuits import (Circuit, CorrectionOp, GateOp, MagicPrepOp, MeasureOp,
+                                encode_phase_table, sample_records, sample_trajectory)
+from gclifford.clifford import (AutomorphismGate, CXGate, FourierGate, PauliGate,
                                 QuadraticGate, gate_tableau)
 from gclifford.dense import apply_gate as dense_apply_gate
 from gclifford.dense import (basis_state, element_index,
@@ -13,10 +18,13 @@ from gclifford.dense import (basis_state, element_index,
                              measurement_projections, run_circuit,
                              states_equal_up_to_phase)
 from gclifford.errors import (BackendCapabilityError, GroupMismatchError,
-                              ResourceCapError)
+                              PreconditionFailedError, ResourceCapError)
 from gclifford.forms import Character
 from gclifford.groups import HomMatrix, make_group, product_group
-from gclifford.pauli import PauliVector
+from gclifford.pauli import PauliOperator, PauliVector
+from gclifford.phases import Phase
+from gclifford.protocols import (build_cx_protocol, build_magic_injection,
+                                 builtin_magic_table)
 from gclifford.stabilizer import StabilizerState
 from gclifford.stabilizer import enumerate_branches as tableau_branches
 from gclifford.stabilizer import run_circuit as tableau_run
@@ -298,3 +306,165 @@ def test_branch_probabilities_sum_to_one():
             assert abs(dense_total - 1.0) < 1e-9
             tab_total = sum(p for _, _, p in tableau_branches(circ))
             assert tab_total == 1
+
+
+# ---------------------------------------------------------------------------
+# shot sampling through the outcome trie
+
+def _backend(name, circuit):
+    if name == "dense":
+        return (dense._Backend(circuit, dense.DEFAULT_DENSE_CAP),
+                dense._initial_vector(circuit, dense.DEFAULT_DENSE_CAP))
+    return stabilizer._Backend, stabilizer._initial_state(circuit)
+
+
+def _per_shot(name, circuit, rng, shots):
+    return [sample_trajectory(circuit, *_backend(name, circuit), rng)[1]
+            for _ in range(shots)]
+
+
+def _trie(name, circuit, rng, shots):
+    return sample_records(circuit, *_backend(name, circuit), rng, shots)
+
+
+def _prepared_cx(orders):
+    base = make_group(orders)
+    rng = random.Random(sum(orders))
+    prep = tuple(GateOp(PauliGate(PauliOperator.x_shift(base.random_element(rng))), (s,))
+                 for s in (0, 2))
+    return Circuit(base, 3, prep + build_cx_protocol(base).ops)
+
+
+def _random_circuit(orders, seed):
+    return random_clifford_circuit(make_group(orders), 2, random.Random(seed),
+                                   num_gates=6, num_measurements=4)
+
+
+def _certain_first():
+    z2 = make_group([2])
+    return Circuit(z2, 1, (
+        MeasureOp("a", (0,), (0,), (1,)),
+        GateOp(FourierGate(HomMatrix.identity(z2)), (0,)),
+        MeasureOp("b", (0,), (0,), (1,)),
+    ))
+
+
+def _magic(table):
+    """The magic-injection circuit of ``table`` over Z2, built without the
+    up-front check that every correction is quadratic."""
+    z2 = make_group([2])
+    encoded = tuple(tuple(e) for e in encode_phase_table(
+        {z2.element((g,)): ph for g, ph in enumerate(table)}))
+    return Circuit(z2, 2, (
+        MagicPrepOp(1, encoded), GateOp(CXGate(dagger=True), (0, 1)),
+        MeasureOp("k0", (1,), (0,), (1,)),
+        CorrectionOp("magic-quadratic", ("k0",), (0,), table=encoded)))
+
+
+SAMPLER_CASES = {
+    **{f"cx-{'x'.join(map(str, o))}": (lambda o=o: _prepared_cx(o), ("tableau", "dense"))
+       for o in [(2,), (3,), (4,), (2, 4)]},
+    **{f"random-{'x'.join(map(str, o))}-{s}": (lambda o=o, s=s: _random_circuit(o, s),
+                                               ("tableau", "dense"))
+       for o in [(2,), (3,), (4, 2)] for s in (1, 2)},
+    "no-measurement": (lambda: Circuit(make_group([3]), 2, (
+        GateOp(FourierGate(HomMatrix.identity(make_group([3]))), (0,)),
+        GateOp(CXGate(), (0, 1)))), ("tableau", "dense")),
+    "certain-first": (_certain_first, ("tableau", "dense")),
+    "magic-z2": (lambda: build_magic_injection(
+        make_group([2]), builtin_magic_table(make_group([2])))[0], ("dense",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(shots=integers(1, 40), seed=integers(0, 2 ** 32 - 1))
+def test_sample_records_matches_per_shot_trajectories(case, shots, seed):
+    build, names = SAMPLER_CASES[case]
+    circuit = build()
+    for name in names:
+        loop_rng, trie_rng = random.Random(seed), random.Random(seed)
+        expected = _per_shot(name, circuit, loop_rng, shots)
+        got = _trie(name, circuit, trie_rng, shots)
+        assert got == expected, name
+        assert [list(r) for r in got] == [list(r) for r in expected], name
+        assert trie_rng.getstate() == loop_rng.getstate(), name
+
+
+def test_sample_records_raises_where_the_per_shot_loop_does():
+    # outcome 0 takes the zero correction; outcome 1 needs the phase 1/8,
+    # which is not a quadratic form over Z2
+    circuit = _magic((Phase(), Phase(1, 16)))
+    raised = 0
+    for seed in range(12):
+        outcomes = []
+        for run in (_per_shot, _trie):
+            rng = random.Random(seed)
+            try:
+                outcomes.append(run("dense", circuit, rng, 3))
+            except PreconditionFailedError as exc:
+                outcomes.append((type(exc), str(exc)))
+            outcomes.append(rng.getstate())
+        assert outcomes[:2] == outcomes[2:], seed
+        raised += isinstance(outcomes[0], tuple)
+    assert 0 < raised < 12
+
+
+class _SpyBackend:
+    """The stabilizer backend, counting ``outcomes`` calls and the states
+    alive at once."""
+
+    unit = stabilizer._Backend.unit
+
+    def __init__(self):
+        self.outcome_calls = 0
+        self.live = weakref.WeakSet()
+        self.peak_live = 0
+
+    def track(self, state):
+        self.live.add(state)
+        self.peak_live = max(self.peak_live, len(self.live))
+        return state
+
+    def apply(self, state, gate, slots):
+        return self.track(stabilizer._Backend.apply(state, gate, slots))
+
+    def outcomes(self, state, vec):
+        self.outcome_calls += 1
+        return stabilizer._Backend.outcomes(state, vec)
+
+    def project(self, state, support, outcome, last):
+        return self.track(stabilizer._Backend.project(state, support, outcome, last))
+
+
+def _spy_run(circuit, shots, seed, per_shot):
+    spy, rng = _SpyBackend(), random.Random(seed)
+    if per_shot:
+        for _ in range(shots):
+            sample_trajectory(circuit, spy, spy.track(stabilizer._initial_state(circuit)), rng)
+    else:
+        sample_records(circuit, spy, spy.track(stabilizer._initial_state(circuit)), rng, shots)
+    return spy
+
+
+def test_sample_records_runs_each_record_prefix_once():
+    z3 = make_group([3])
+    certain = Circuit(z3, 2, (
+        MeasureOp("a", (0,), (0,), (1,)),
+        GateOp(PauliGate(PauliOperator.x_shift(z3.element((1,)))), (0,)),
+        GateOp(CXGate(), (0, 1)),
+        MeasureOp("b", (1,), (0,), (1,)),
+        MeasureOp("c", (0, 1), (0, 0), (1, 2)),
+    ))
+    spy = _spy_run(certain, 1000, 3, per_shot=False)
+    assert spy.outcome_calls == 3
+    for orders in [(2,), (3,), (4, 2)]:
+        for seed in range(4):
+            circuit = random_clifford_circuit(make_group(orders), 2, random.Random(seed),
+                                              num_gates=8, num_measurements=5)
+            measurements = sum(isinstance(op, MeasureOp) for op in circuit.ops)
+            for shots in (1, 5, 60):
+                trie = _spy_run(circuit, shots, seed, per_shot=False)
+                loop = _spy_run(circuit, shots, seed, per_shot=True)
+                assert trie.outcome_calls <= loop.outcome_calls, (orders, seed, shots)
+                assert trie.peak_live <= measurements + 2, (orders, seed, shots)
