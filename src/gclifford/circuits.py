@@ -15,7 +15,9 @@ probabilities.  It drives either backend through three calls (apply a
 gate, list the outcomes of an observable, project onto one).
 :func:`interpret` follows every outcome or one drawn per measurement;
 :func:`sample_records` draws many shots through a trie of record prefixes
-and runs the backend only when a shot reaches a new prefix.
+and runs the backend only when a shot reaches a new prefix that does not
+end the record: a new leaf only resolves the corrections after the last
+measurement.
 :func:`sample_outcome` states the
 sampling rule once: a measurement draws a random number only when it has
 more than one outcome.
@@ -225,6 +227,16 @@ def sample_outcome(rng, pairs):
     return pairs[-1]
 
 
+def _correction(circuit: Circuit, i: int, record: dict, memo: dict) -> Gate:
+    """The gate of the correction at op index ``i`` for ``record``, resolved
+    once per (op index, registers read) in ``memo``."""
+    op = circuit.ops[i]
+    key = (i, tuple(record[a] for a in op.args))
+    if key not in memo:
+        memo[key] = resolve_correction(op, circuit.base, record)
+    return memo[key]
+
+
 def _advance(circuit: Circuit, backend, state, start: int, record: dict, memo: dict):
     """Run ``circuit.ops[start:]`` up to the next measurement and list its
     outcomes: (state, op index, pairs, support), or (state, len(ops),
@@ -239,10 +251,7 @@ def _advance(circuit: Circuit, backend, state, start: int, record: dict, memo: d
         if isinstance(op, GateOp):
             state = backend.apply(state, op.gate, op.slots)
         elif isinstance(op, CorrectionOp):
-            key = (i, tuple(record[a] for a in op.args))
-            if key not in memo:
-                memo[key] = resolve_correction(op, base, record)
-            state = backend.apply(state, memo[key], op.slots)
+            state = backend.apply(state, _correction(circuit, i, record, memo), op.slots)
         elif isinstance(op, MeasureOp):
             if i not in memo:
                 memo[i] = embed_vector(op.observable(base), op.slots, base, circuit.n)
@@ -266,28 +275,27 @@ def interpret(circuit: Circuit, backend, state, rng=None) -> list:
     """
     memo: dict = {}
     branches = []
-
-    def walk(state, start: int, record: dict, prob):
-        while True:
-            state, i, pairs, support = _advance(circuit, backend, state, start,
-                                                record, memo)
-            if pairs is None:
-                branches.append((record, state, prob))
-                return
-            if rng is not None:
-                pairs = [sample_outcome(rng, pairs)]
-            register = circuit.ops[i].register
-            for s, p in pairs[:-1]:
-                walk(backend.project(state, support, s, False), i + 1,
-                     {**record, register: s}, prob * p)
-            # the last outcome continues here and may reuse the state
-            s, p = pairs[-1]
-            state = backend.project(state, support, s, True)
-            record[register] = s
-            prob = prob * p
-            start = i + 1
-
-    walk(state, 0, {}, backend.unit)
+    # depth first: a task is (projection or None, state, start, record,
+    # prob), and a measurement's outcomes are pushed highest first, so the
+    # lowest runs first and the last, which may reuse the state, runs after
+    # every other branch of that state
+    tasks = [(None, state, 0, {}, backend.unit)]
+    while tasks:
+        projection, state, start, record, prob = tasks.pop()
+        if projection is not None:
+            state = backend.project(state, *projection)
+        state, i, pairs, support = _advance(circuit, backend, state, start,
+                                            record, memo)
+        if pairs is None:
+            branches.append((record, state, prob))
+            continue
+        if rng is not None:
+            pairs = [sample_outcome(rng, pairs)]
+        register = circuit.ops[i].register
+        for pos in range(len(pairs) - 1, -1, -1):
+            s, p = pairs[pos]
+            tasks.append(((support, s, pos == len(pairs) - 1), state, i + 1,
+                          {**record, register: s}, prob * p))
     return branches
 
 
@@ -307,9 +315,14 @@ def sample_records(circuit: Circuit, backend, state, rng, shots: int) -> list:
     only (op index, outcome pairs); the backend runs only for a node that
     no earlier shot reached.  Pre-measurement states and supports are kept
     along the most recently computed path, one per measurement, and a new
-    node resumes from the deepest of them on its own prefix.  ``state`` is
+    node resumes from the deepest of them on its own prefix.  A leaf node,
+    past the last measurement, computes no state: its record is complete,
+    and it only resolves the corrections after that measurement, so that
+    one which fails on the record raises at the same shot.  ``state`` is
     consumed as by :func:`interpret`.
     """
+    ops = circuit.ops
+    last = max((i for i, op in enumerate(ops) if isinstance(op, MeasureOp)), default=-1)
     memo: dict = {}
     trie: dict = {}
     # path[d]: (op index, state, support) of measurement d on path_key
@@ -321,6 +334,12 @@ def sample_records(circuit: Circuit, backend, state, rng, shots: int) -> list:
         if pairs is not None:
             path.append((i, now, support))
         return i, pairs
+
+    def leaf(record: dict):
+        for i in range(last + 1, len(ops)):
+            if isinstance(ops[i], CorrectionOp):
+                _correction(circuit, i, record, memo)
+        return len(ops), None
 
     def grow(key: tuple, record: dict):
         nonlocal path_key
@@ -336,8 +355,8 @@ def sample_records(circuit: Circuit, backend, state, rng, shots: int) -> list:
             for d in range(d, len(key)):
                 i, before, support = path[d]
                 del path[d + 1:]
-                node = extend(backend.project(before, support, key[d], False),
-                              i + 1, record)
+                node = leaf(record) if i == last else extend(
+                    backend.project(before, support, key[d], False), i + 1, record)
         path_key = key
         trie[key] = node
         return node
@@ -351,7 +370,7 @@ def sample_records(circuit: Circuit, backend, state, rng, shots: int) -> list:
             if pairs is None:
                 break
             s, _p = sample_outcome(rng, pairs)
-            record[circuit.ops[i].register] = s
+            record[ops[i].register] = s
             key += (s,)
         records.append(record)
     return records

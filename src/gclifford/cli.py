@@ -9,6 +9,7 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -271,11 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves the parser unchanged, so one serves every call to main
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None, stdout=None) -> int:
     stdout = stdout or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code else EXIT_OK
     try:

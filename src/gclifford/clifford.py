@@ -109,7 +109,13 @@ def fourier_plain_inverse(matrix: HomMatrix) -> HomMatrix:
     return HomMatrix(matrix.source, matrix.target, entries)
 
 
+_IMAGE_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_IMAGE_MEMO_SIZE)
 def gate_inverse(gate: Gate) -> Gate:
+    """The inverse gate, memoized like :func:`image_array`: gates are frozen
+    values, and the compiler inverts the same few many times."""
     if isinstance(gate, AutomorphismGate):
         return AutomorphismGate(invert_automorphism(gate.tau))
     if isinstance(gate, QuadraticGate):
@@ -301,9 +307,6 @@ def gate_image(gate: Gate, group: Group) -> HomMatrix:
     else:
         raise TypeError(f"unknown gate {gate!r}")
     return HomMatrix(big, big, tuple(a + b for a, b in zip(xx + zx, xz + zz)))
-
-
-_IMAGE_MEMO_SIZE = 256
 
 
 @functools.lru_cache(maxsize=_IMAGE_MEMO_SIZE)

@@ -75,10 +75,6 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
-
-
 def is_identity(a: list[list[int]]) -> bool:
     return all(a[i][j] == (1 if i == j else 0) for i in range(len(a)) for j in range(len(a[i])))
 
@@ -175,26 +171,6 @@ def smith_normal_form(mat: list[list[int]]):
         if s[t][t] < 0:
             negate_row(t)
     return u, s, v
-
-
-def solve_linear(mat: list[list[int]], rhs: list[int]) -> list[int] | None:
-    """One integer solution x of mat @ x == rhs, or None if unsolvable."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    u, s, v = smith_normal_form(mat)
-    ub = mat_vec(u, rhs)
-    y = [0] * cols
-    for i in range(rows):
-        d = s[i][i] if i < min(rows, cols) else 0
-        if d == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % d:
-                return None
-            if i < cols:
-                y[i] = ub[i] // d
-    return mat_vec(v, y)
 
 
 def kernel_basis(mat: list[list[int]]) -> list[list[int]]:

@@ -19,7 +19,12 @@ G^n x (G^)^n is nondegenerate, so L is its own annihilator: for an
 observable v of order q and the pairing values b_i / q of the generators
 against it, t v lies in L exactly when every t b_i is 0 mod q.  So the
 smallest stabilizer power t0 = q / gcd(q, b), which is also the number of
-outcomes, needs one matrix-vector product and no echelon.  A vectorized
+outcomes, needs one matrix-vector product and no echelon.  A random
+outcome collapses the k generators with a rank-one update in O(k m): with
+a Bezout vector u of the pairing values (u.b = g) and s_i = b_i / g,
+generator a_i becomes a_i a_u^(-s_i) for the one product a_u = prod a_j^u_j,
+which pairs trivially with the observable, and a power of a_u and the
+measured operator with its outcome phase join them.  A vectorized
 row echelon (per column, every other row is reduced by the row with the
 smallest entry until one pivot is left, the phases following the closed
 forms) serves the rest: the phase of t0 v as a generator product when
@@ -32,7 +37,8 @@ than by theory alone.
 Circuits run through :func:`circuits.interpret`: a sampled trajectory
 collapses the state in place, and enumeration clones it per branch.
 :func:`circuits.sample_records` keeps the state before each measurement
-of its current path, so it clones at each trie node it computes.
+of its current path, so it clones at each trie node it computes before
+the last measurement; a leaf node computes no state.
 """
 
 from __future__ import annotations
@@ -49,8 +55,8 @@ from .clifford import Gate, gate_tableau
 from .errors import BackendCapabilityError
 from .groups import Group, product_group
 from .intmat import ext_gcd
-from .pauli import (PauliOperator, PauliVector, cross_matrix, ordered_products,
-                    product_rows, row_operator, row_params)
+from .pauli import (PauliOperator, PauliVector, cross_matrix, ordered_product,
+                    ordered_products, row_operator, row_params)
 
 __all__ = ["StabilizerState", "run_circuit", "enumerate_branches"]
 
@@ -183,11 +189,10 @@ class StabilizerState:
             coef[idx] = xcoef
         if residual.any():
             return None
-        got, phase = ordered_products(coef[None], product_rows(vecs, phases, self.orders),
-                                      self.orders)
-        if (got[0] != target).any():
+        got, phase = ordered_product(coef, vecs, phases, self.orders)
+        if (got != target).any():
             raise AssertionError("membership witness does not match the power")
-        return int(phase[0])
+        return int(phase)
 
     # -- measurement -----------------------------------------------------------
 
@@ -252,29 +257,33 @@ class StabilizerState:
         v, correction, order, t0, bvals = support
         if t0 == 1:
             return
-        D = self.D
-        k = len(bvals)
-        # t0 > 1, so some generator pairs nontrivially with the observable
-        first = next(j for j in range(k) if bvals[j])
-        g = bvals[first]
-        u = [0] * k
-        u[first] = 1
-        for j in range(first + 1, k):
-            if bvals[j]:
-                g2, xc, yc = ext_gcd(g, bvals[j])
-                u = [xc * val for val in u]
-                u[j] += yc
-                g = g2
-        # exponents are exact mod D, so the Bezout growth is cut there
-        u = np.array([val % D for val in u], dtype=self.dtype)
-        steps = np.array([b // g for b in bvals], dtype=self.dtype)
-        C = np.eye(k, dtype=self.dtype) - steps[:, None] * u
-        C = np.vstack([C, (order // gcd(g, order)) * u]) % D
-        C = C[(C != 0).any(1)]
-        V, P = ordered_products(C, product_rows(self.V, self.P, self.orders), self.orders)
+        D, orders, lorders = self.D, self.orders, self._lorders
+        # Bezout vector u with u.b = g: extending gcd(g, b_j) by x g + y b_j
+        # scales the earlier entries by x, so u_j is y_j times every later x
+        # (t0 > 1, so some b_j is nonzero; exponents are exact mod D)
+        g, steps = 0, []
+        for j in np.flatnonzero(bvals):
+            g, x, y = ext_gcd(g, bvals[j])
+            steps.append((j, x, y))
+        u = np.zeros(len(bvals), dtype=self.dtype)
+        scale = 1
+        for j, x, y in reversed(steps):
+            u[j] = y * scale % D
+            scale = scale * x % D
+        s = np.array([b // g for b in bvals], dtype=self.dtype)
+        c = order // gcd(g, order)
+        # the exponent matrix I - s u^T, plus the row c u, is rank one: as
+        # the generators commute, row i is a_i a_u^(-s_i) and the extra row
+        # a_u^c for the one product a_u = prod_j a_j^u_j
+        xu, pu = ordered_product(u, self.V, self.P, orders)
+        cu = int(cross_matrix(xu[None], xu[None], orders)[0, 0])
+        zx = cross_matrix(self.V, xu[None], orders)[:, 0]
+        V = (self.V - s[:, None] * xu) % lorders
+        P = (self.P - s * pu + (s * (s + 1) // 2) % D * cu - s * zx) % D
         # the measured operator joins the group with its outcome phase
-        self.V = np.vstack([V, v])
-        self.P = np.append(P, (correction - outcome * (D // order)) % D)
+        self.V = np.vstack([V, (c * xu) % lorders, v])
+        self.P = np.append(P, [(c * pu + c * (c - 1) // 2 % D * cu) % D,
+                               (correction - outcome * (D // order)) % D])
         self._pivots = None
         self._reduce_generators()
 

@@ -26,7 +26,6 @@ first, and the dense oracle checks it there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
@@ -46,7 +45,6 @@ from .groups import (Group, GroupElement, HomMatrix, invert_automorphism,
                      is_automorphism)
 from .intmat import stab_multiplier
 from .pauli import row_operator, row_params
-from .phases import Phase
 
 __all__ = [
     "SymplecticMap", "is_symplectic", "sequence_image",
@@ -80,15 +78,6 @@ class SymplecticMap:
 
     def __hash__(self):
         return hash((self.group, self.matrix.entries))
-
-
-def beta_residues(orders, u, v) -> Phase:
-    """Pairing of two residue vectors over G x G^ (element part first)."""
-    m = len(orders)
-    total = Fraction(0)
-    for i in range(m):
-        total += Fraction(u[m + i] * v[i] - v[m + i] * u[i], orders[i])
-    return Phase.from_fraction(total)
 
 
 def is_symplectic(sigma: SymplecticMap) -> bool:

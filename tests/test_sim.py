@@ -1,3 +1,4 @@
+import gc
 import random
 import weakref
 from fractions import Fraction
@@ -412,7 +413,9 @@ def test_sample_records_raises_where_the_per_shot_loop_does():
 
 class _SpyBackend:
     """The stabilizer backend, counting ``outcomes`` calls and the states
-    alive at once."""
+    alive at once, and noting which measurements are projected.  A
+    measurement is numbered by the first ``outcomes`` call on its observable,
+    which the interpreter embeds once per op index and run."""
 
     unit = stabilizer._Backend.unit
 
@@ -420,6 +423,9 @@ class _SpyBackend:
         self.outcome_calls = 0
         self.live = weakref.WeakSet()
         self.peak_live = 0
+        self.measurement = {}
+        self.supports = {}  # id -> (measurement, support kept alive)
+        self.projected = set()
 
     def track(self, state):
         self.live.add(state)
@@ -431,9 +437,13 @@ class _SpyBackend:
 
     def outcomes(self, state, vec):
         self.outcome_calls += 1
-        return stabilizer._Backend.outcomes(state, vec)
+        pairs, support = stabilizer._Backend.outcomes(state, vec)
+        index = self.measurement.setdefault(id(vec), len(self.measurement))
+        self.supports[id(support)] = (index, support)
+        return pairs, support
 
     def project(self, state, support, outcome, last):
+        self.projected.add(self.supports[id(support)][0])
         return self.track(stabilizer._Backend.project(state, support, outcome, last))
 
 
@@ -468,3 +478,37 @@ def test_sample_records_runs_each_record_prefix_once():
                 loop = _spy_run(circuit, shots, seed, per_shot=True)
                 assert trie.outcome_calls <= loop.outcome_calls, (orders, seed, shots)
                 assert trie.peak_live <= measurements + 2, (orders, seed, shots)
+
+
+# outcome calls of 60 shots of the circuits below, by (orders, seed): one
+# per computed node that ends at a measurement, as many as when the leaves
+# were computed too
+LEAF_OUTCOME_CALLS = {
+    (2,): [31, 14, 19, 48], (3,): [111, 111, 168, 156], (4, 2): [194, 180, 209, 131]}
+
+
+def test_sample_records_computes_no_leaf_state():
+    """No node projects onto an outcome of the last measurement, so no
+    leaf state is computed, and the ``outcomes`` calls stay those of a
+    sampler that computed the leaves."""
+    for orders, calls in LEAF_OUTCOME_CALLS.items():
+        for seed in range(4):
+            circuit = random_clifford_circuit(make_group(orders), 2, random.Random(seed),
+                                              num_gates=8, num_measurements=5)
+            spy = _spy_run(circuit, 60, seed, per_shot=False)
+            assert spy.projected == {0, 1, 2, 3}, (orders, seed)
+            assert spy.outcome_calls == calls[seed], (orders, seed)
+
+
+def test_interpret_leaves_no_reference_cycle():
+    """With the cyclic collector off, each sampled trajectory's states are
+    freed when it returns."""
+    circuit = random_clifford_circuit(make_group([2]), 2, random.Random(0),
+                                      num_gates=8, num_measurements=5)
+    gc.disable()
+    try:
+        spy = _spy_run(circuit, 200, 0, per_shot=True)
+        assert len(spy.live) <= 5 + 2
+        assert spy.peak_live <= 5 + 2
+    finally:
+        gc.enable()

@@ -21,13 +21,13 @@ from hypothesis import strategies as st
 from gclifford import stabilizer
 from gclifford.circuits import (GateOp, MeasureOp, embed_vector,
                                 resolve_correction)
-from gclifford.clifford import (CXGate, FourierGate, PauliGate, QuadraticGate,
-                                gate_tableau)
+from gclifford.clifford import (AutomorphismGate, CXGate, FourierGate, PauliGate,
+                                QuadraticGate, gate_tableau)
 from gclifford.forms import Character, QuadraticForm
 from gclifford.groups import Group, GroupElement, HomMatrix, product_group
 from gclifford.intmat import ext_gcd
 from gclifford.pauli import (PauliOperator, PauliVector, cross_matrix,
-                             ordered_products, product_rows)
+                             ordered_product, ordered_products, product_rows)
 from gclifford.phases import Phase
 from gclifford.stabilizer import StabilizerState, enumerate_branches
 from gclifford.verify import random_clifford_circuit
@@ -326,6 +326,11 @@ def test_closed_form_product_and_power(case):
     # phase(a^k) = k p + C(k, 2) c without reducing k
     c = int(cross_matrix(V[:1], V[:1], orders)[0, 0])
     assert Phase(k * int(P[0]) + k * (k - 1) // 2 * c, D) == a.pow(k).phase
+    # one exponent row through prefix sums: the k x k kernel's value
+    e = np.array([k % D, (7 * k + 3) % D], dtype=state.dtype)
+    rows, phases = ordered_products(e[None], product_rows(V, P, orders), orders)
+    vec, phase = ordered_product(e, V, P, orders)
+    assert (vec == rows[0]).all() and phase == phases[0]
 
 
 @pytest.mark.parametrize("orders", KERNEL_GROUPS)
@@ -557,3 +562,128 @@ def test_pairing_and_echelon_disagreement_is_named(monkeypatch):
     with pytest.raises(AssertionError,
                        match=r"power 1 of the observable with residues \[0, 1\]"):
         state.outcome_support(z)
+
+
+def reference_collapse(state: StabilizerState, support, outcome: int) -> None:
+    """The collapse as a dense exponent product: new generator i is the
+    ordered product of the old ones with exponent row i of C = I - s u^T
+    plus the row c u (zero rows dropped), then the outcome row and the
+    echelon.  The rank-one update must give exactly these rows."""
+    v, correction, order, t0, bvals = support
+    if t0 == 1:
+        return
+    D, k = state.D, len(bvals)
+    first = next(j for j in range(k) if bvals[j])
+    g = bvals[first]
+    u = [0] * k
+    u[first] = 1
+    for j in range(first + 1, k):
+        if bvals[j]:
+            g, xc, yc = ext_gcd(g, bvals[j])
+            u = [xc * val for val in u]
+            u[j] += yc
+    u = np.array([val % D for val in u], dtype=state.dtype)
+    steps = np.array([b // g for b in bvals], dtype=state.dtype)
+    C = np.eye(k, dtype=state.dtype) - steps[:, None] * u
+    C = np.vstack([C, (order // gcd(g, order)) * u]) % D
+    C = C[(C != 0).any(1)]
+    V, P = ordered_products(C, product_rows(state.V, state.P, state.orders),
+                            state.orders)
+    state.V = np.vstack([V, v])
+    state.P = np.append(P, (correction - outcome * (D // order)) % D)
+    state._pivots = None
+    state._reduce_generators()
+
+
+COLLAPSE_GROUPS = [(2,), (3,), (4,), (2, 3), (2, 4), (8, 2), (2 ** 40,)]
+
+
+def large_modulus_gates(base: Group, n: int, rng, count: int):
+    """Random gates over Z_q, q > 8, drawn from gates whose tableaux need
+    no search of the group (``random_clifford_circuit`` samples forms and
+    automorphisms by search): a unit multiple, a quadratic phase, the
+    Fourier gate, a Pauli and CX."""
+    q = base.orders[0]
+    ops = []
+    for _ in range(count):
+        kind = rng.randrange(5)
+        slots = (rng.randrange(n),)
+        if kind == 0:
+            gate = AutomorphismGate(HomMatrix(base, base, ((rng.randrange(q) | 1,),)))
+        elif kind == 1:
+            gate = QuadraticGate(QuadraticForm(base, (rng.randrange(2 * q),), ((0,),),
+                                               (rng.randrange(q),)))
+        elif kind == 2:
+            gate = FourierGate(HomMatrix.identity(base), rng.random() < 0.5)
+        elif kind == 3 and n == 2:
+            gate, slots = CXGate(rng.random() < 0.5), tuple(rng.sample(range(2), 2))
+        else:
+            gate = PauliGate(PauliOperator(base, Phase(), base.element((rng.randrange(q),)),
+                                           Character(base, (rng.randrange(q),))))
+        ops.append(GateOp(gate, slots))
+    return ops
+
+
+@st.composite
+def collapse_cases(draw):
+    """A base group, a register size and rounds of (random gates,
+    observables with an outcome pick each).  Residues over a factor above
+    8 are multiples of q/8, so every outcome list stays short."""
+    orders = draw(st.sampled_from(COLLAPSE_GROUPS))
+    base = Group(orders)
+    n = draw(st.integers(1, 2 if orders[0] > 8 else 3))
+    big = product_group(base, n)
+    rounds = []
+    for _ in range(draw(st.integers(1, 3))):
+        rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+        count = draw(st.integers(0, 6))
+        gates = (large_modulus_gates(base, n, rng, count) if orders[0] > 8 else
+                 random_clifford_circuit(base, n, rng, num_gates=count,
+                                         num_measurements=0).ops)
+        observables = []
+        for _ in range(draw(st.integers(1, 3))):
+            x, z = ([draw(st.integers(0, min(q, 8) - 1)) * max(1, q // 8)
+                     for q in big.orders] for _ in "xz")
+            observables.append((PauliVector(big, big.element(tuple(x)),
+                                            Character(big, tuple(z))),
+                                draw(st.integers(0, 2 ** 16))))
+        rounds.append((gates, observables))
+    return base, n, rounds
+
+
+def test_rank_one_collapse_matches_dense_exponent_product():
+    """Every collapse gives the generators, phases and echelon pivots of
+    the dense exponent product, over fully random outcomes (t0 equal to
+    the observable's order) and partially random ones, and on the Python
+    integer path."""
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=collapse_cases())
+    def check(case):
+        base, n, rounds = case
+        state = StabilizerState(base, n)
+        for gates, observables in rounds:
+            for op in gates:
+                state.apply_gate(op.gate, op.slots)
+            for vec, pick in observables:
+                outcomes, _prob, support = state.outcome_support(vec)
+                t0, order = support[3], support[2]
+                if t0 == 1:
+                    continue
+                s = outcomes[pick % len(outcomes)]
+                want = state.clone()
+                reference_collapse(want, support, s)
+                state._collapse(support, s)
+                assert np.array_equal(state.V, want.V) and np.array_equal(state.P, want.P)
+                cols, entries, vecs, phases = state._pivots
+                assert (cols, entries) == want._pivots[:2]
+                assert np.array_equal(vecs, want._pivots[2])
+                assert np.array_equal(phases, want._pivots[3])
+                seen.add("full" if t0 == order else "partial")
+                if state.dtype is object:
+                    seen.add("python integers")
+        state.validate()
+
+    check()
+    assert seen == {"full", "partial", "python integers"}

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -13,6 +14,7 @@ from gclifford.elementary import random_automorphism
 from gclifford.errors import (NotExtendableError, NotSymplecticError)
 from gclifford.forms import standard_nondegenerate_form
 from gclifford.groups import HomMatrix, make_group
+from gclifford.phases import Phase
 from gclifford.symplectic import (SymplecticMap, decompose, decompose_clifford,
                                   doubled_group, extend_to_automorphism,
                                   gate_image, is_symplectic, random_symplectic,
@@ -20,6 +22,16 @@ from gclifford.symplectic import (SymplecticMap, decompose, decompose_clifford,
                                   split_fourier_iso, tableau_image)
 
 from test_clifford import random_gate, random_quadratic
+
+
+def beta_residues(orders, u, v) -> Phase:
+    """Pairing of two residue vectors over G x G^ (element part first), as
+    a sum of ``Fraction`` terms: the reference for the integer pairing."""
+    m = len(orders)
+    total = Fraction(0)
+    for i in range(m):
+        total += Fraction(u[m + i] * v[i] - v[m + i] * u[i], orders[i])
+    return Phase.from_fraction(total)
 
 
 def test_identity_is_symplectic():
@@ -48,7 +60,6 @@ def test_beta_violation_detected():
 
 
 def _brute_pairing(sig):
-    from gclifford.symplectic import beta_residues
     g = sig.group
     m = g.num_factors
     ok = True
@@ -66,7 +77,6 @@ def _brute_pairing(sig):
 def _brute_witness(sig):
     """The first column pair, in row-major order, whose ``Fraction``
     pairing differs from that of the unit vectors."""
-    from gclifford.symplectic import beta_residues
     g = sig.group
     n = 2 * g.num_factors
     cols = [[row[a] for row in sig.matrix.entries] for a in range(n)]
