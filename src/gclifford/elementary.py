@@ -11,16 +11,18 @@ canonical group and for any power G^n of one).
 
 from __future__ import annotations
 
+import functools
 from math import gcd, lcm
 
 from .errors import NotExtendableError
-from .groups import Group, HomMatrix
+from .groups import Group, HomMatrix, _prime_power_pieces
 from .intmat import identity_matrix
 
 __all__ = [
     "transvection", "scaling", "factor_swap",
     "column_clear_moves", "apply_move", "move_to_hom", "moves_matrix",
     "automorphism_elementary_factors", "random_automorphism",
+    "random_unit", "random_form_diagonal",
 ]
 
 # A move is ("transvect", dst, src, coeff) or ("scale", idx, unit).
@@ -226,6 +228,46 @@ def moves_matrix(group: Group, moves) -> HomMatrix:
     return HomMatrix(group, group, tuple(tuple(r) for r in work))
 
 
+@functools.lru_cache(maxsize=256)
+def _unit_blocks(q: int):
+    """(r, phi(r), inclusion-exclusion terms (d, sign) over the squarefree
+    divisors d of r) for the radical r of q.  A residue is a unit of Z_q
+    exactly when it is one mod r, so the units of Z_q in increasing order
+    are the units below r shifted by each multiple of r."""
+    terms = [(1, 1)]
+    radical = per_block = 1
+    for p, _power in _prime_power_pieces(q):
+        terms += [(d * p, -sign) for d, sign in terms]
+        radical *= p
+        per_block *= p - 1
+    return radical, per_block, tuple(terms)
+
+
+def random_unit(q: int, rng) -> int:
+    """A random unit of Z_q: the draw and the value of ``rng.choice`` over
+    the units in increasing order, without listing them.  The index is
+    drawn below phi(q); the unit is found by bisection on the number of
+    units up to x within one block of :func:`_unit_blocks`."""
+    radical, per_block, terms = _unit_blocks(q)
+    block, index = divmod(rng.randrange(q // radical * per_block), per_block)
+    lo, hi = 1, radical - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sum(sign * (mid // d) for d, sign in terms) > index:
+            hi = mid
+        else:
+            lo = mid + 1
+    return block * radical + lo
+
+
+def random_form_diagonal(q: int, rng) -> int:
+    """A random diagonal coefficient a in [0, 2q) of a quadratic form over
+    Z_q (a q even): the draw and the value of ``rng.choice`` over them in
+    increasing order, which are every a for even q and the even a for
+    odd q."""
+    return rng.randrange(2 * q) if q % 2 == 0 else 2 * rng.randrange(q)
+
+
 def random_automorphism(group: Group, rng, length: int | None = None) -> HomMatrix:
     """A random automorphism sampled as a product of random elementary
     moves (membership guaranteed by construction; not uniform)."""
@@ -237,8 +279,7 @@ def random_automorphism(group: Group, rng, length: int | None = None) -> HomMatr
         if n == 1 or rng.random() < 0.3:
             idx = rng.randrange(n)
             q = orders[idx]
-            units = [u for u in range(1, q) if gcd(u, q) == 1]
-            moves.append(("scale", idx, rng.choice(units)))
+            moves.append(("scale", idx, random_unit(q, rng)))
         else:
             dst = rng.randrange(n)
             src = rng.randrange(n)

@@ -25,14 +25,19 @@ a Bezout vector u of the pairing values (u.b = g) and s_i = b_i / g,
 generator a_i becomes a_i a_u^(-s_i) for the one product a_u = prod a_j^u_j,
 which pairs trivially with the observable, and a power of a_u and the
 measured operator with its outcome phase join them.  A vectorized
-row echelon (per column, every other row is reduced by the row with the
-smallest entry until one pivot is left, the phases following the closed
-forms) serves the rest: the phase of t0 v as a generator product when
-t0 v is not the identity, and the replacement generators after a
-collapse, whose invariants it re-checks.  The arrays have the dtype of
-:func:`pauli.row_params`, and phases become ``Phase`` values only at the
-boundary.  Correctness is established against the dense oracle rather
-than by theory alone.
+row echelon serves the rest: the phase of t0 v as a generator product
+when t0 v is not the identity, and the replacement generators after a
+collapse, whose invariants it re-checks.  Per column, the row a_j with
+the smallest entry p reduces every other row by parallel Euclid steps;
+once p divides every entry, one rank-one update a_i <- a_i a_j^e_i
+clears the column and raises the pivot row to its smallest power that
+vanishes there (e_i = -entry_i / p, e_j = t - 1).  Row updates skip the
+reduction mod the factor orders: a column is reduced when it is reached,
+a pivot row before it is used, and the whole matrix at the end, or on
+int64 rows sooner when the growth bound of the pass says so.  The arrays
+have the dtype of :func:`pauli.row_params`, and phases become ``Phase``
+values only at the boundary.  Correctness is established against the
+dense oracle rather than by theory alone.
 
 Circuits run through :func:`circuits.interpret`: a sampled trajectory
 collapses the state in place, and enumeration clones it per branch.
@@ -124,37 +129,77 @@ class StabilizerState:
             return
         V, P = self.V.copy(), self.P.copy()
         lorders, w, D, m = self._lorders, self._w, self.D, self.m
+        # Row updates a_i <- a_i a_j^e skip the reduction mod the factor
+        # orders; a column is reduced when it is reached, a pivot row before
+        # it is used.  As |e| < D/2, an update adds less than D^2/4 to an
+        # entry, so with s updates pending a phase's cross term sums m
+        # entries below D/2 + s D^2/4 times weighted residues below D.  On
+        # int64 that stays below 2^62 for s <= max_pending; past it the
+        # whole matrix is reduced.  Python integers need no bound.
+        max_pending = ((2 ** 62 // (m * D) - D) * 4 // (D * D)
+                       if self.dtype is np.int64 else None)
+        pending = 0
         cols, entries, vecs, phases = [], [], [], []
         for r in np.flatnonzero(V.any(0)):
+            q = int(lorders[r])
             col = V[:, r]
-            nz = np.flatnonzero(col)
-            while len(nz) > 1:
-                # parallel Euclid: reduce every other row by the smallest
-                j = nz[np.argmin(col[nz])]
-                rest = nz[nz != j]
-                c = col[rest] // col[j]
-                # a_i <- a_i a_j^(-c): phase of the power plus the cross term
-                wx = w * V[j, :m]
-                s_j = (V[j, m:] @ wx) % D
-                cross = (V[rest, m:] @ wx) % D
-                P[rest] = (P[rest] - c * P[j] + (c * (c + 1) // 2) % D * s_j
-                           - c * cross) % D
-                V[rest] = (V[rest] - c[:, None] * V[j]) % lorders
-                nz = np.flatnonzero(col)
-            if len(nz):
+            if pending:
+                col %= q
+            nz = col.nonzero()[0]
+            if len(nz) == 1:
+                # the pivot row alone: it continues as its smallest multiple
+                # that vanishes in this column
                 j = nz[0]
-                p, q = int(col[j]), int(lorders[r])
+                if pending:
+                    V[j] %= lorders
+                p = int(col[j])
                 cols.append(int(r))
                 entries.append(p)
                 vecs.append(V[j].copy())
                 phases.append(P[j])
-                # the pivot row continues as its smallest multiple that
-                # vanishes in this column
                 t = q // gcd(p, q)
                 s_j = (V[j, m:] @ (w * V[j, :m])) % D
                 P[j] = (t * P[j] + (t * (t - 1) // 2) % D * s_j) % D
                 V[j] = (t * V[j]) % lorders
-        if V.any():
+                continue
+            while len(nz):
+                # parallel Euclid by the smallest entry (a_i <- a_i a_j^e,
+                # e_j = 0); when it divides every other entry, the same
+                # update also powers the pivot row (e_j = t - 1)
+                cn = col[nz]
+                i = cn.argmin()
+                j, p = nz[i], int(cn[i])
+                if pending:
+                    V[j] %= lorders
+                e = -(cn // p)
+                last = not np.count_nonzero(cn % p)
+                if last:
+                    cols.append(int(r))
+                    entries.append(p)
+                    vecs.append(V[j].copy())
+                    phases.append(P[j])
+                    e[i] = q // gcd(p, q) - 1
+                else:
+                    e[i] = 0
+                if max_pending is not None and pending > max_pending:
+                    V %= lorders
+                    pending = 0
+                # phase P_i + e P_j + C(e, 2) s_j + e z_i.W.x_j, as
+                # P_i + e (z_i.W.x_j + (e - 1) s_j / 2 + P_j) with s_j the
+                # pivot's z_j.W.x_j (even, as every weight is); the reduced
+                # pivot row is 0 in every column before r, and its x part
+                # is 0 once r >= m
+                if r < m:
+                    wx = w[r:] * V[j, r:m]
+                    half = (V[j, m + r:] @ wx) % D // 2
+                    inc = (V[nz, m + r:] @ wx + (e - 1) * half + P[j]) % D
+                else:
+                    inc = P[j]
+                P[nz] = (P[nz] + e * inc) % D
+                V[nz, r:] += e[:, None] * V[j, r:]
+                pending += 1
+                nz = () if last else col.nonzero()[0]
+        if (V % lorders).any():
             raise AssertionError("echelon pass left an unreduced column")
         # every row is now a product of generators equal to the identity
         bad = np.flatnonzero(P)

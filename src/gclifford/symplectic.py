@@ -25,17 +25,18 @@ first, and the dense oracle checks it there.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import gcd, lcm
 
 import numpy as np
 
-from .clifford import (AutomorphismGate, CliffordTableau, FourierGate, Gate,
-                       PauliGate, QuadraticGate, doubled_group,
+from .clifford import (_IMAGE_MEMO_SIZE, AutomorphismGate, CliffordTableau,
+                       FourierGate, Gate, PauliGate, QuadraticGate, doubled_group,
                        gate_image,  # noqa: F401  (re-exported: tests and perfbench read it here)
                        gate_inverse, gate_pauli, image_array, image_name,
                        matrix_dtype, pairing_witness, sequence_tableau)
-from .elementary import column_clear_moves, moves_matrix
+from .elementary import column_clear_moves, moves_matrix, random_form_diagonal
 from .errors import (GroupMismatchError, NotExtendableError, NotSymplecticError,
                      ReductionError)
 from .forms import (QuadraticForm, SymmetricBilinearForm,
@@ -175,6 +176,19 @@ def split_fourier_iso(xi: QuadraticForm) -> HomMatrix:
     return invert_automorphism(induced_hom(polarize(xi)))
 
 
+@functools.lru_cache(maxsize=_IMAGE_MEMO_SIZE)
+def _round_fourier(group: Group, t: int) -> tuple[tuple[Gate, ...], HomMatrix]:
+    """The partial Fourier move of reduction round ``t`` and its validated
+    image.  Both depend only on (group, t), so the memo, sized like
+    :func:`clifford.image_array`, builds each once."""
+    if t == 0:
+        gates = (FourierGate(HomMatrix.identity(group)),)
+    else:
+        gates = tuple(split_fourier_gates(
+            group, standard_nondegenerate_form(Group(group.orders[t:])), t))
+    return gates, _image(gates, group)
+
+
 class _Reduction:
     """Working state of the symplectic elimination."""
 
@@ -215,11 +229,7 @@ class _Reduction:
             return
         m, q = self.m, self.orders
         remaining = list(range(t, m))
-        if t == 0:
-            fourier_gates = [FourierGate(HomMatrix.identity(self.group))]
-        else:
-            fourier_gates = split_fourier_gates(
-                self.group, standard_nondegenerate_form(Group(q[t:])), t)
+        fourier_gates, image = _round_fourier(self.group, t)
 
         # Combine each (r_i, r_i') pair of the pivot column into its Z^ slot.
         col = self.column(t)
@@ -236,7 +246,6 @@ class _Reduction:
                        "combine step missed the pair ideal")
 
         # Swap the remaining X and Z^ blocks with a (partial) Fourier move.
-        image = _image(fourier_gates, self.group)
         for i in range(t):
             for pos in (i, m + i):
                 expected = [1 if r == pos else 0 for r in range(2 * m)]
@@ -388,8 +397,7 @@ def random_symplectic(group: Group, rng, length: int | None = None) -> Symplecti
         elif kind == 1:
             n = m
             q = group.orders
-            diag = tuple(rng.choice([a for a in range(2 * q[i])
-                                     if (a * q[i]) % 2 == 0]) for i in range(n))
+            diag = tuple(random_form_diagonal(q[i], rng) for i in range(n))
             cross = tuple(tuple(rng.randrange(gcd(q[i], q[j])) if i < j else 0
                                 for j in range(n)) for i in range(n))
             gate = QuadraticGate(QuadraticForm(group, diag, cross, (0,) * n))

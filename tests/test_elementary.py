@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd
 
 import pytest
@@ -6,9 +7,11 @@ import pytest
 from gclifford.elementary import (automorphism_elementary_factors,
                                   column_clear_moves, factor_swap,
                                   move_to_hom, random_automorphism,
+                                  random_form_diagonal, random_unit,
                                   scaling, transvection)
 from gclifford.errors import NotExtendableError
-from gclifford.groups import HomMatrix, is_automorphism, make_group
+from gclifford.groups import Group, HomMatrix, is_automorphism, make_group
+from gclifford.verify import random_clifford_circuit, random_quadratic_form
 
 
 def test_transvection_validity():
@@ -133,3 +136,30 @@ def test_random_automorphism_matches_composed_moves(orders):
             want = _compose_random_automorphism(g, ref_rng, length)
             assert got == want, (orders, seed, length)
             assert rng.getstate() == ref_rng.getstate(), (orders, seed, length)
+
+
+def test_unit_and_diagonal_draws_match_the_listed_choice():
+    """The helpers give the value of ``rng.choice`` over the listed units
+    and form diagonals, and leave the generator in the same state."""
+    for q in range(2, 200):
+        for seed in range(5):
+            fast, listed = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert random_unit(q, fast) == listed.choice(
+                    [u for u in range(1, q) if gcd(u, q) == 1])
+                assert random_form_diagonal(q, fast) == listed.choice(
+                    [a for a in range(2 * q) if a * q % 2 == 0])
+            assert fast.getstate() == listed.getstate()
+
+
+def test_sampling_over_a_large_modulus_lists_nothing():
+    """Over Z_(2^40) a list of the units or of the form diagonals would
+    hold 2^39 or 2^41 entries; the samplers return at once."""
+    group = Group((2 ** 40,))
+    samplers = [lambda rng: random_automorphism(group, rng),
+                lambda rng: random_quadratic_form(group, rng),
+                lambda rng: random_clifford_circuit(group, 2, rng)]
+    for sample in samplers:
+        start = time.perf_counter()
+        sample(random.Random(0))
+        assert time.perf_counter() - start < 1

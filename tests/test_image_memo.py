@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from gclifford import clifford
+from gclifford import clifford, symplectic
 from gclifford.clifford import (AutomorphismGate, CXGate, FourierGate, PauliGate,
                                 QuadraticGate, gate_image, image_array)
 from gclifford.elementary import random_automorphism
@@ -68,6 +68,28 @@ def test_each_distinct_gate_imaged_once(monkeypatch):
     assert len(distinct) < clifford._IMAGE_MEMO_SIZE
     assert len(calls) == len(set(calls)) and set(calls) == distinct
     assert len(distinct) < len(requests)
+
+
+def test_round_fourier_move_built_once(monkeypatch):
+    """A reduction round's partial Fourier move and its validated image
+    depend only on (group, round), so decomposing two maps over one group
+    builds each once; the maps still round-trip."""
+    group = make_group([8, 4, 2, 2])
+    symplectic._round_fourier.cache_clear()
+    built = []
+    real = symplectic.split_fourier_gates
+
+    def counted(group, xi, start, *rest):
+        built.append(start)
+        return real(group, xi, start, *rest)
+
+    monkeypatch.setattr(symplectic, "split_fourier_gates", counted)
+    for seed in (0, 1):
+        sigma = random_symplectic(group, random.Random(seed))
+        assert sequence_image(decompose(sigma), group) == sigma
+    info = symplectic._round_fourier.cache_info()
+    assert built and len(built) == len(set(built))
+    assert info.misses <= group.num_factors and info.hits >= info.misses
 
 
 def _hom(group, rows):

@@ -23,6 +23,7 @@ from gclifford.circuits import (GateOp, MeasureOp, embed_vector,
                                 resolve_correction)
 from gclifford.clifford import (AutomorphismGate, CXGate, FourierGate, PauliGate,
                                 QuadraticGate, gate_tableau)
+from gclifford.elementary import random_form_diagonal, random_unit
 from gclifford.forms import Character, QuadraticForm
 from gclifford.groups import Group, GroupElement, HomMatrix, product_group
 from gclifford.intmat import ext_gcd
@@ -599,24 +600,25 @@ COLLAPSE_GROUPS = [(2,), (3,), (4,), (2, 3), (2, 4), (8, 2), (2 ** 40,)]
 
 
 def large_modulus_gates(base: Group, n: int, rng, count: int):
-    """Random gates over Z_q, q > 8, drawn from gates whose tableaux need
-    no search of the group (``random_clifford_circuit`` samples forms and
-    automorphisms by search): a unit multiple, a quadratic phase, the
-    Fourier gate, a Pauli and CX."""
+    """Random gates over Z_q, q > 8 a power of two or odd, drawn from gates
+    whose tableaux need no search of the group (``random_clifford_circuit``
+    samples forms and automorphisms by search): a unit multiple, a
+    quadratic phase, the Fourier gate, a Pauli and CX."""
     q = base.orders[0]
     ops = []
     for _ in range(count):
         kind = rng.randrange(5)
         slots = (rng.randrange(n),)
         if kind == 0:
-            gate = AutomorphismGate(HomMatrix(base, base, ((rng.randrange(q) | 1,),)))
+            unit = rng.randrange(q) | 1 if q % 2 == 0 else random_unit(q, rng)
+            gate = AutomorphismGate(HomMatrix(base, base, ((unit,),)))
         elif kind == 1:
-            gate = QuadraticGate(QuadraticForm(base, (rng.randrange(2 * q),), ((0,),),
-                                               (rng.randrange(q),)))
+            gate = QuadraticGate(QuadraticForm(base, (random_form_diagonal(q, rng),),
+                                               ((0,),), (rng.randrange(q),)))
         elif kind == 2:
             gate = FourierGate(HomMatrix.identity(base), rng.random() < 0.5)
-        elif kind == 3 and n == 2:
-            gate, slots = CXGate(rng.random() < 0.5), tuple(rng.sample(range(2), 2))
+        elif kind == 3 and n >= 2:
+            gate, slots = CXGate(rng.random() < 0.5), tuple(rng.sample(range(n), 2))
         else:
             gate = PauliGate(PauliOperator(base, Phase(), base.element((rng.randrange(q),)),
                                            Character(base, (rng.randrange(q),))))
@@ -624,31 +626,38 @@ def large_modulus_gates(base: Group, n: int, rng, count: int):
     return ops
 
 
-@st.composite
-def collapse_cases(draw):
-    """A base group, a register size and rounds of (random gates,
-    observables with an outcome pick each).  Residues over a factor above
-    8 are multiples of q/8, so every outcome list stays short."""
-    orders = draw(st.sampled_from(COLLAPSE_GROUPS))
-    base = Group(orders)
-    n = draw(st.integers(1, 2 if orders[0] > 8 else 3))
+def draw_rounds(draw, base: Group, n: int, max_gates: int = 6):
+    """Rounds of (random gates, observables with an outcome pick each).
+    Residues over a factor above 8 are multiples of q/8 (q/27 when 27
+    divides q), so every outcome list stays short."""
     big = product_group(base, n)
     rounds = []
     for _ in range(draw(st.integers(1, 3))):
         rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-        count = draw(st.integers(0, 6))
-        gates = (large_modulus_gates(base, n, rng, count) if orders[0] > 8 else
+        count = draw(st.integers(0, max_gates))
+        gates = (large_modulus_gates(base, n, rng, count) if base.orders[0] > 8 else
                  random_clifford_circuit(base, n, rng, num_gates=count,
                                          num_measurements=0).ops)
         observables = []
         for _ in range(draw(st.integers(1, 3))):
-            x, z = ([draw(st.integers(0, min(q, 8) - 1)) * max(1, q // 8)
-                     for q in big.orders] for _ in "xz")
+            x, z = ([draw(st.integers(0, min(q, span) - 1)) * max(1, q // span)
+                     for q in big.orders
+                     for span in [27 if q > 27 and q % 27 == 0 else 8]]
+                    for _ in "xz")
             observables.append((PauliVector(big, big.element(tuple(x)),
                                             Character(big, tuple(z))),
                                 draw(st.integers(0, 2 ** 16))))
         rounds.append((gates, observables))
-    return base, n, rounds
+    return rounds
+
+
+@st.composite
+def collapse_cases(draw):
+    """A base group, a register size and :func:`draw_rounds` on them."""
+    orders = draw(st.sampled_from(COLLAPSE_GROUPS))
+    base = Group(orders)
+    n = draw(st.integers(1, 2 if orders[0] > 8 else 3))
+    return base, n, draw_rounds(draw, base, n)
 
 
 def test_rank_one_collapse_matches_dense_exponent_product():
@@ -687,3 +696,133 @@ def test_rank_one_collapse_matches_dense_exponent_product():
 
     check()
     assert seen == {"full", "partial", "python integers"}
+
+
+def reference_pivots(state: StabilizerState, seen: set):
+    """The echelon the lazy pass replaced, as (cols, entries, vecs,
+    phases): per column, parallel Euclid steps reduce every other row, mod
+    the factor orders, by the row with the smallest entry until one pivot
+    is left; the pivot row then continues as its smallest multiple that
+    vanishes in the column.  ``seen`` collects the kinds of column met."""
+    V, P = state.V.copy(), state.P.copy()
+    lorders, w, D, m = state._lorders, state._w, state.D, state.m
+    cols, entries, vecs, phases = [], [], [], []
+    steps = 0
+    for r in np.flatnonzero(V.any(0)):
+        col = V[:, r]
+        nz = np.flatnonzero(col)
+        if len(nz) == 1:
+            seen.add("single nonzero")
+        rounds = 0
+        while len(nz) > 1:
+            j = nz[np.argmin(col[nz])]
+            rest = nz[nz != j]
+            c = col[rest] // col[j]
+            wx = w * V[j, :m]
+            s_j = (V[j, m:] @ wx) % D
+            cross = (V[rest, m:] @ wx) % D
+            P[rest] = (P[rest] - c * P[j] + (c * (c + 1) // 2) % D * s_j
+                       - c * cross) % D
+            V[rest] = (V[rest] - c[:, None] * V[j]) % lorders
+            nz = np.flatnonzero(col)
+            rounds += 1
+        if rounds > 1:
+            seen.add("multi-step Euclid")
+        steps += rounds
+        if len(nz):
+            j = nz[0]
+            p, q = int(col[j]), int(lorders[r])
+            cols.append(int(r))
+            entries.append(p)
+            vecs.append(V[j].copy())
+            phases.append(P[j])
+            t = q // gcd(p, q)
+            s_j = (V[j, m:] @ (w * V[j, :m])) % D
+            P[j] = (t * P[j] + (t * (t - 1) // 2) % D * s_j) % D
+            V[j] = (t * V[j]) % lorders
+    assert not V.any()
+    assert not P.any()
+    # over Z_(3^13) the lazy pass holds one pending row update at a time
+    # on int64, so a pass with two updates reduces between them
+    if state.orders[0] == 3 ** 13 and steps > 1:
+        seen.add("odd int64 modulus past the lazy bound")
+    seen.add(np.dtype(state.dtype).name)
+    vecs = np.array(vecs, dtype=state.dtype).reshape(len(cols), 2 * m)
+    return cols, entries, vecs, np.array(phases, dtype=state.dtype)
+
+
+ECHELON_GROUPS = list(dict.fromkeys(KERNEL_GROUPS + COLLAPSE_GROUPS))
+# registers drawn as their own shapes: (base orders) -> (least n, most n)
+ECHELON_REGISTERS = {(2, 4): (4, 32), (3 ** 13,): (2, 5), (2 ** 40,): (1, 2)}
+
+
+@st.composite
+def echelon_cases(draw):
+    """A base group, a register size, :func:`draw_rounds` on them and a
+    seed, in four equally likely shapes: the kernel and collapse groups,
+    and the registers of ``ECHELON_REGISTERS`` with up to 6 n gates a
+    round: (Z2xZ4)^n, Z_(3^13)^n (int64 rows over an odd modulus) and
+    Z_(2^40)^n (Python integers)."""
+    shape = draw(st.sampled_from(["groups", *ECHELON_REGISTERS]))
+    if shape == "groups":
+        orders = draw(st.sampled_from(ECHELON_GROUPS))
+        n = draw(st.integers(1, 2 if orders[0] > 8 else 3))
+        max_gates = 6
+    else:
+        orders, n = shape, draw(st.integers(*ECHELON_REGISTERS[shape]))
+        max_gates = 6 * n
+    base = Group(orders)
+    return base, n, draw_rounds(draw, base, n, max_gates), draw(st.integers(0, 2 ** 32 - 1))
+
+
+def test_lazy_echelon_matches_reference(monkeypatch):
+    """Every echelon rebuild gives the reference pass's pivots bit for bit,
+    with the same dtype: after gates, after collapses, and on the k pivot
+    rows joined by three products of the first one's inverse with random
+    powers of the others.  Those rows meet a pivot entry of 1 against
+    entries near q in the first column and grow in every column after it,
+    so over Z_(3^13)^5 they pass the int64 growth bound."""
+    seen = set()
+    lazy_pass = StabilizerState._ensure_pivots
+
+    def checked(self):
+        want = reference_pivots(self, seen) if self._pivots is None else None
+        lazy_pass(self)
+        if want is not None:
+            cols, entries, vecs, phases = self._pivots
+            assert (cols, entries) == want[:2]
+            assert vecs.dtype == want[2].dtype and np.array_equal(vecs, want[2])
+            assert phases.dtype == want[3].dtype and np.array_equal(phases, want[3])
+
+    monkeypatch.setattr(StabilizerState, "_ensure_pivots", checked)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=echelon_cases())
+    def check(case):
+        base, n, rounds, seed = case
+        rng = random.Random(seed)
+        state = StabilizerState(base, n)
+        for gates, observables in rounds:
+            for op in gates:
+                state.apply_gate(op.gate, op.slots)
+            state._ensure_pivots()
+            for vec, pick in observables:
+                outcomes, _prob, support = state.outcome_support(vec)
+                state._collapse(support, outcomes[pick % len(outcomes)])
+            # the pivot rows, and three products of the first one's inverse
+            # with random powers of the others
+            vecs, phases = state._pivots[2:]
+            k = len(vecs)
+            E = np.array([[int(i == j) for j in range(k)] for i in range(k)]
+                         + [[state.D - 1] + [rng.randrange(state.D) for _ in range(k - 1)]
+                            for _ in range(3)], dtype=state.dtype)
+            mixed = state.clone()
+            mixed.V, mixed.P = ordered_products(
+                E, product_rows(vecs, phases, state.orders), state.orders)
+            mixed._pivots = None
+            mixed._ensure_pivots()
+        state.validate()
+
+    check()
+    assert seen == {"single nonzero", "multi-step Euclid", "int64", "object",
+                    "odd int64 modulus past the lazy bound"}
