@@ -9,9 +9,9 @@ from .errors import (BackendCapabilityError, DegenerateFormError,
                      NotExtendableError, NotInvertibleError,
                      NotSymplecticError, PreconditionFailedError,
                      ReductionError, ResourceCapError)
-from .forms import (Character, QuadraticForm, SymmetricBilinearForm, char_eval,
-                    i_xi, is_nondegenerate, is_quadratic_table, lift_bilinear,
-                    polarize, quad_eval, standard_nondegenerate_form)
+from .forms import (Character, QuadraticForm, SymmetricBilinearForm, i_xi,
+                    is_nondegenerate, is_quadratic_table, lift_bilinear,
+                    polarize, standard_nondegenerate_form)
 from .groups import (Group, GroupElement, HomMatrix, Isomorphism, bezout,
                      canonicalize, hom_is_valid, invert_automorphism,
                      is_automorphism, make_group, parse_group, product_group)

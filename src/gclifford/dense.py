@@ -255,12 +255,6 @@ class DenseState:
     def group(self) -> Group:
         return product_group(self.base, self.n)
 
-    @classmethod
-    def zeros(cls, base: Group, n: int, cap: int = DEFAULT_DENSE_CAP) -> "DenseState":
-        big = product_group(base, n)
-        _check_cap(big.order, cap)
-        return cls(base, n, basis_state(big, (0,) * big.num_factors))
-
 
 def tableau_faithful(tableau: CliffordTableau, gate: Gate, group: Group,
                      cap: int = DEFAULT_DENSE_CAP, tol: float = 1e-9) -> bool:

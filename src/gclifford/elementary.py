@@ -19,46 +19,12 @@ from .groups import Group, HomMatrix, _prime_power_pieces
 from .intmat import identity_matrix
 
 __all__ = [
-    "transvection", "scaling", "factor_swap",
-    "column_clear_moves", "apply_move", "move_to_hom", "moves_matrix",
+    "column_clear_moves", "apply_move", "moves_matrix",
     "automorphism_elementary_factors", "random_automorphism",
-    "random_unit", "random_form_diagonal",
+    "random_unit", "random_form_diagonal", "random_form_coefficients",
 ]
 
 # A move is ("transvect", dst, src, coeff) or ("scale", idx, unit).
-
-
-def transvection(group: Group, dst: int, src: int, coeff: int) -> HomMatrix:
-    n = group.num_factors
-    entries = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    entries[dst][src] = coeff % group.orders[dst]
-    return HomMatrix(group, group, tuple(tuple(r) for r in entries))
-
-
-def scaling(group: Group, idx: int, unit: int) -> HomMatrix:
-    n = group.num_factors
-    entries = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    entries[idx][idx] = unit % group.orders[idx]
-    return HomMatrix(group, group, tuple(tuple(r) for r in entries))
-
-
-def factor_swap(group: Group, a: int, b: int) -> HomMatrix:
-    if group.orders[a] != group.orders[b]:
-        raise ValueError("can only swap factors of equal order")
-    n = group.num_factors
-    perm = list(range(n))
-    perm[a], perm[b] = perm[b], perm[a]
-    entries = [[1 if perm[i] == j else 0 for j in range(n)] for i in range(n)]
-    return HomMatrix(group, group, tuple(tuple(r) for r in entries))
-
-
-def move_to_hom(group: Group, move) -> HomMatrix:
-    kind = move[0]
-    if kind == "transvect":
-        return transvection(group, move[1], move[2], move[3])
-    if kind == "scale":
-        return scaling(group, move[1], move[2])
-    raise ValueError(f"unknown move {move!r}")
 
 
 def apply_move(orders, vec: list[int], move) -> None:
@@ -176,9 +142,8 @@ def automorphism_elementary_factors(m: HomMatrix) -> list[HomMatrix]:
 
     # From L_k...L_1 * m * R_1...R_l == I we get
     # m == inv(L_1)...inv(L_k) * inv(R_l)...inv(R_1).
-    factors = [move_to_hom(group, _invert_move(orders, move)) for move in left]
-    factors += [move_to_hom(group, _invert_move(orders, move)) for move in reversed(right)]
-    return factors
+    inverses = [_invert_move(orders, move) for move in left + right[::-1]]
+    return [moves_matrix(group, [move]) for move in inverses]
 
 
 def _invert_move(orders, move):
@@ -266,6 +231,17 @@ def random_form_diagonal(q: int, rng) -> int:
     increasing order, which are every a for even q and the even a for
     odd q."""
     return rng.randrange(2 * q) if q % 2 == 0 else 2 * rng.randrange(q)
+
+
+def random_form_coefficients(orders, rng) -> tuple[tuple, tuple]:
+    """Random ``(diag, cross)`` coordinates of a quadratic form over the
+    cyclic factors ``orders``: every diagonal coefficient, then the cross
+    coefficients above the diagonal row by row (zeros below)."""
+    n = len(orders)
+    diag = tuple(random_form_diagonal(q, rng) for q in orders)
+    cross = tuple(tuple(rng.randrange(gcd(orders[i], orders[j])) if i < j else 0
+                        for j in range(n)) for i in range(n))
+    return diag, cross
 
 
 def random_automorphism(group: Group, rng, length: int | None = None) -> HomMatrix:

@@ -21,13 +21,13 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import (DegenerateFormError, GroupMismatchError,
-                     IncompleteTableError)
+                     IncompleteTableError, NotInvertibleError)
 from .groups import Group, GroupElement, HomMatrix, invert_automorphism, is_automorphism
 from .phases import Phase
 
 __all__ = [
     "Character", "SymmetricBilinearForm", "QuadraticForm",
-    "char_eval", "quad_eval", "polarize", "lift_bilinear",
+    "polarize", "lift_bilinear",
     "is_quadratic_table", "fit_quadratic_table", "is_nondegenerate",
     "induced_hom", "i_xi_matrix", "i_xi", "i_xi_inverse",
     "standard_nondegenerate_form",
@@ -56,10 +56,6 @@ class Character(GroupElement):
         for c, x, q in zip(self.residues, g.residues, self.group.orders):
             total += Fraction(c * x, q)
         return Phase.from_fraction(total)
-
-
-def char_eval(chi: Character, g: GroupElement) -> Phase:
-    return chi.eval(g)
 
 
 @dataclass(frozen=True)
@@ -207,10 +203,6 @@ class QuadraticForm:
         return all(self.eval(g) == other.eval(g) for g in self.group.elements())
 
 
-def quad_eval(xi: QuadraticForm, g: GroupElement) -> Phase:
-    return xi.eval(g)
-
-
 def polarize(xi: QuadraticForm) -> SymmetricBilinearForm:
     """The bilinear form (g, h) -> xi(g+h) - xi(g) - xi(h)."""
     q = xi.group.orders
@@ -307,17 +299,20 @@ def fit_quadratic_table(group: Group, table) -> QuadraticForm:
 
 
 def is_nondegenerate(xi: QuadraticForm) -> bool:
-    """Whether g -> b_xi(g, -) is an isomorphism onto the character group."""
+    """Whether g -> b_xi(g, -) is an isomorphism onto the character group,
+    decided through the memo of ``invert_automorphism`` that
+    :func:`i_xi_matrix` fills."""
     return is_automorphism(induced_hom(polarize(xi)))
 
 
 def i_xi_matrix(xi: QuadraticForm) -> HomMatrix:
     """Matrix of the isomorphism chi -> t with -b_xi(t, -) == chi, i.e. the
-    negated inverse of the polarization's induced map."""
-    hom = induced_hom(polarize(xi))
-    if not is_automorphism(hom):
-        raise DegenerateFormError("quadratic form is degenerate")
-    inv = invert_automorphism(hom)
+    negated inverse of the polarization's induced map.  The one
+    ``invert_automorphism`` call also decides non-degeneracy."""
+    try:
+        inv = invert_automorphism(induced_hom(polarize(xi)))
+    except NotInvertibleError:
+        raise DegenerateFormError("quadratic form is degenerate") from None
     n = xi.group.num_factors
     entries = tuple(tuple(-inv.entries[i][j] for j in range(n)) for i in range(n))
     return HomMatrix(xi.group, xi.group, entries)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from math import gcd, lcm, prod
 
 from .errors import GroupMismatchError, NotInvertibleError
-from .intmat import (bezout, identity_matrix, kernel_basis, mat_mul,
-                     smith_normal_form)
+from .intmat import bezout, identity_matrix, mat_mul, smith_normal_form
 
 __all__ = [
     "Group", "GroupElement", "HomMatrix", "Isomorphism",
@@ -159,11 +158,6 @@ class HomMatrix:
     def identity(cls, group: Group) -> "HomMatrix":
         return cls(group, group, tuple(tuple(r) for r in identity_matrix(group.num_factors)))
 
-    @classmethod
-    def zero(cls, source: Group, target: Group) -> "HomMatrix":
-        return cls(source, target,
-                   tuple((0,) * source.num_factors for _ in range(target.num_factors)))
-
     def apply(self, a: GroupElement) -> GroupElement:
         if a.group != self.source:
             raise GroupMismatchError("element not in the source group")
@@ -237,24 +231,16 @@ def _lifted_relation_matrix(m: HomMatrix) -> list[list[int]]:
 def is_automorphism(m: HomMatrix) -> bool:
     """True iff the endomorphism ``m`` is bijective.
 
-    Bijectivity is read off the Smith normal form of the lifted relation
-    matrix [M | diag(q)]: the map is onto (hence bijective, the group being
-    finite) exactly when every invariant factor is 1.
+    The decision is :func:`invert_automorphism`'s, so a matrix whose
+    inverse is memoized is decided without a Smith normal form.
     """
     if m.source != m.target:
         return False
-    n = m.target.num_factors
-    _, s, _ = smith_normal_form(_lifted_relation_matrix(m))
-    return all(s[i][i] == 1 for i in range(n))
-
-
-def _kernel_witness(m: HomMatrix) -> tuple[int, ...] | None:
-    lifted = _lifted_relation_matrix(m)
-    for vec in kernel_basis(lifted):
-        cand = m.source.element(vec[:m.source.num_factors])
-        if not cand.is_zero():
-            return cand.residues
-    return None
+    try:
+        invert_automorphism(m)
+    except NotInvertibleError:
+        return False
+    return True
 
 
 # Entries of the invert_automorphism memo: the compiler inverts a few
@@ -267,9 +253,13 @@ def invert_automorphism(m: HomMatrix) -> HomMatrix:
     """Two-sided inverse of an automorphism; NotInvertibleError otherwise.
 
     One Smith normal form ``U [M | diag(q)] V = S`` of the lifted relation
-    matrix decides and inverts at once: the map is onto exactly when every
-    ``s_ii`` is 1, and then ``V[:n, :n] U[:, i]`` solves ``M x = e_i``
-    modulo the orders, giving column i of the (unique) inverse.
+    matrix decides, inverts and names a witness at once: the map is onto
+    (hence bijective, the group being finite) exactly when every ``s_ii``
+    is 1, and then ``V[:n, :n] U[:, i]`` solves ``M x = e_i`` modulo the
+    orders, giving column i of the (unique) inverse.  Otherwise columns
+    n..2n-1 of V span the integer kernel of the lifted matrix, and the
+    element part of the first one that is nonzero modulo the orders is the
+    kernel witness.
 
     Results are memoized on the frozen matrix, keeping the 256 most
     recently used (``_INVERSE_MEMO_SIZE``); ``invert_automorphism.cache_info()``
@@ -281,14 +271,17 @@ def invert_automorphism(m: HomMatrix) -> HomMatrix:
     group = m.source
     n = group.num_factors
     u, s, v = smith_normal_form(_lifted_relation_matrix(m))
+
+    def witness():
+        kernel = (group.element(row[j] for row in v[:n]) for j in range(n, 2 * n))
+        return next((w.residues for w in kernel if not w.is_zero()), None)
+
     if any(s[i][i] != 1 for i in range(n)):
-        raise NotInvertibleError("homomorphism is not surjective",
-                                 witness=_kernel_witness(m))
+        raise NotInvertibleError("homomorphism is not surjective", witness=witness())
     entries = mat_mul([row[:n] for row in v[:n]], u)
     inv = HomMatrix(group, group, tuple(tuple(r) for r in entries))
     if not m.compose(inv).is_identity() or not inv.compose(m).is_identity():
-        raise NotInvertibleError("no two-sided inverse exists",
-                                 witness=_kernel_witness(m))
+        raise NotInvertibleError("no two-sided inverse exists", witness=witness())
     return inv
 
 

@@ -1,5 +1,5 @@
-"""Exact integer matrix algorithms: extended Euclid, Smith normal form,
-linear solving and kernels over Z.
+"""Exact integer matrix algorithms over Z: extended Euclid and the Smith
+normal form.
 
 Everything here works on plain lists of Python ints, so there is no
 overflow; these routines back the automorphism tests, inverses and the
@@ -172,11 +172,3 @@ def smith_normal_form(mat: list[list[int]]):
             negate_row(t)
     return u, s, v
 
-
-def kernel_basis(mat: list[list[int]]) -> list[list[int]]:
-    """Basis of the integer kernel {x : mat @ x == 0}."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    _, s, v = smith_normal_form(mat)
-    free = [j for j in range(cols) if j >= rows or s[j][j] == 0]
-    return [[v[i][j] for i in range(cols)] for j in free]

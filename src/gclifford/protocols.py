@@ -25,6 +25,7 @@ from .clifford import (AutomorphismGate, CXGate, FourierGate, PauliGate,
                        QuadraticGate, cx_matrix)
 from .dense import (DEFAULT_DENSE_CAP, basis_state, element_index,
                     enumerate_branches, gate_matrix, states_equal_up_to_phase)
+from .elementary import moves_matrix
 from .errors import (DegenerateFormError, PreconditionFailedError,
                      ResourceCapError)
 from .forms import QuadraticForm, fit_quadratic_table, i_xi_matrix, is_nondegenerate
@@ -360,11 +361,8 @@ def certificate_target(base: Group) -> HomMatrix:
     """((a0,b0),(a1,b1)) -> ((a0,b0),(a0+a1,b1)): a controlled shift on the
     order-2 coordinates only."""
     big = product_group(base, 2)
-    k = base.num_factors
-    entries = [[1 if i == j else 0 for j in range(2 * k)] for i in range(2 * k)]
-    a_positions = [i for i in range(2 * k) if big.orders[i] == 2]
-    entries[a_positions[1]][a_positions[0]] = 1
-    return HomMatrix(big, big, tuple(tuple(r) for r in entries))
+    a_positions = [i for i, q in enumerate(big.orders) if q == 2]
+    return moves_matrix(big, [("transvect", a_positions[1], a_positions[0], 1)])
 
 
 def cx_insufficiency_certificate(run_bfs: bool = False,
@@ -385,10 +383,7 @@ def cx_insufficiency_certificate(run_bfs: bool = False,
     gens.append(cx_matrix(base))
     big = product_group(base, 2)
     k = base.num_factors
-    rev = [[1 if i == j else 0 for j in range(2 * k)] for i in range(2 * k)]
-    for i in range(k):
-        rev[i][k + i] = 1
-    gens.append(HomMatrix(big, big, tuple(tuple(r) for r in rev)))
+    gens.append(moves_matrix(big, [("transvect", i, k + i, 1) for i in range(k)]))
     report.details["generator_count"] = len(gens)
 
     for idx, gen in enumerate(gens):

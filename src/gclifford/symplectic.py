@@ -5,6 +5,10 @@ Vectors over L = G x G^ are residue tuples of length 2m (element part
 first); the commutation pairing is
 ``beta((g0,c0),(g1,c1)) = c0(g1) - c1(g0)``; a matrix preserves it when
 C^T J C == J mod lcm(q) in integers (``clifford.pairing_witness``).
+The pairing is nondegenerate, so a matrix preserving it is injective and
+hence an automorphism: ``is_symplectic`` is the pairing check alone and
+runs no Smith normal form.
+
 The decomposition clears one pivot pair (X_t, Z^_t) per round by
 left-multiplying the working matrix, an integer array, with exact gate
 images (``clifford.gate_image``), asserting the expected shape and the
@@ -36,7 +40,7 @@ from .clifford import (_IMAGE_MEMO_SIZE, AutomorphismGate, CliffordTableau,
                        gate_image,  # noqa: F401  (re-exported: tests and perfbench read it here)
                        gate_inverse, gate_pauli, image_array, image_name,
                        matrix_dtype, pairing_witness, sequence_tableau)
-from .elementary import column_clear_moves, moves_matrix, random_form_diagonal
+from .elementary import column_clear_moves, moves_matrix, random_form_coefficients
 from .errors import (GroupMismatchError, NotExtendableError, NotSymplecticError,
                      ReductionError)
 from .forms import (QuadraticForm, SymmetricBilinearForm,
@@ -72,18 +76,15 @@ class SymplecticMap:
     def compose(self, first: "SymplecticMap") -> "SymplecticMap":
         return SymplecticMap(self.group, self.matrix.compose(first.matrix))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymplecticMap):
-            return NotImplemented
-        return self.group == other.group and self.matrix.entries == other.matrix.entries
-
-    def __hash__(self):
-        return hash((self.group, self.matrix.entries))
-
 
 def is_symplectic(sigma: SymplecticMap) -> bool:
-    return (is_automorphism(sigma.matrix)
-            and pairing_witness(sigma.group.orders, sigma.matrix.entries) is None)
+    """Whether ``sigma`` preserves the commutation pairing beta.
+
+    No separate automorphism test is needed: if sigma(u) = 0 then
+    beta(u, v) = beta(sigma u, sigma v) = 0 for every v, so u = 0 by
+    nondegeneracy; an injective endomorphism of a finite group is bijective.
+    """
+    return pairing_witness(sigma.group.orders, sigma.matrix.entries) is None
 
 
 def _left_apply(gates, group: Group, mat: np.ndarray) -> np.ndarray:
@@ -162,11 +163,9 @@ def split_fourier_gates(group: Group, xi: QuadraticForm, start: int,
         for a, i in enumerate(idx):
             for b, j in enumerate(idx):
                 iso[i][j] = hom.entries[a][b]
-    inv = tuple(tuple((-1 if i in spectators else 1) if i == j else 0 for j in range(m))
-                for i in range(m))
     s_gate = QuadraticGate(_extend_by_zero(group, xi, start))
     f_gate = FourierGate(HomMatrix(group, group, tuple(map(tuple, iso))))
-    a_gate = AutomorphismGate(HomMatrix(group, group, inv))
+    a_gate = AutomorphismGate(moves_matrix(group, [("scale", i, -1) for i in spectators]))
     return [s_gate, f_gate, s_gate, f_gate, s_gate, a_gate]
 
 
@@ -291,12 +290,9 @@ class _Reduction:
 
         # Dual automorphism: send the dual column's character part to the
         # dual generator while fixing the pivot generator.
-        rho = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        for i in remaining:
-            if i != t:
-                rho[i][t] = (-dual[m + i]) % q[i]
-        rho_hom = HomMatrix(self.group, self.group, tuple(tuple(r) for r in rho))
-        tau_dual = invert_automorphism(rho_hom.dual())
+        rho = moves_matrix(self.group, [("transvect", i, t, -dual[m + i])
+                                        for i in remaining if i != t])
+        tau_dual = invert_automorphism(rho.dual())
         self.check(tau_dual.apply(self.group.generator(t)) == self.group.generator(t),
                    "dual automorphism moved the pivot generator")
         self.apply([AutomorphismGate(tau_dual)])
@@ -395,12 +391,8 @@ def random_symplectic(group: Group, rng, length: int | None = None) -> Symplecti
         if kind == 0:
             gate: Gate = AutomorphismGate(random_automorphism(group, rng))
         elif kind == 1:
-            n = m
-            q = group.orders
-            diag = tuple(random_form_diagonal(q[i], rng) for i in range(n))
-            cross = tuple(tuple(rng.randrange(gcd(q[i], q[j])) if i < j else 0
-                                for j in range(n)) for i in range(n))
-            gate = QuadraticGate(QuadraticForm(group, diag, cross, (0,) * n))
+            diag, cross = random_form_coefficients(group.orders, rng)
+            gate = QuadraticGate(QuadraticForm(group, diag, cross, (0,) * m))
         else:
             gate = FourierGate(random_automorphism(group, rng))
         gates.append(gate)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 import zlib
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .clifford import (AutomorphismGate, CXGate, FourierGate, PauliGate,
                        QuadraticGate, gate_tableau, two_local_factorize)
 from .dense import (DEFAULT_DENSE_CAP, enumerate_branches, pauli_apply,
                     tableau_faithful)
-from .elementary import random_automorphism, random_form_diagonal
+from .elementary import random_automorphism, random_form_coefficients
 from .forms import (Character, QuadraticForm, i_xi, is_nondegenerate,
                     lift_bilinear, polarize, standard_nondegenerate_form)
 from .groups import Group, HomMatrix, canonicalize, make_group, product_group
@@ -44,12 +43,8 @@ def derived_rng(seed: int, label: str) -> random.Random:
 
 
 def random_quadratic_form(group: Group, rng) -> QuadraticForm:
-    n = group.num_factors
-    q = group.orders
-    diag = tuple(random_form_diagonal(q[i], rng) for i in range(n))
-    cross = tuple(tuple(rng.randrange(gcd(q[i], q[j])) if i < j else 0
-                        for j in range(n)) for i in range(n))
-    linear = tuple(rng.randrange(q[i]) for i in range(n))
+    diag, cross = random_form_coefficients(group.orders, rng)
+    linear = tuple(rng.randrange(q) for q in group.orders)
     return QuadraticForm(group, diag, cross, linear)
 
 

@@ -4,31 +4,24 @@ from math import gcd
 
 import pytest
 
+from gclifford.clifford import AutomorphismGate, FourierGate, QuadraticGate
 from gclifford.elementary import (automorphism_elementary_factors,
-                                  column_clear_moves, factor_swap,
-                                  move_to_hom, random_automorphism,
-                                  random_form_diagonal, random_unit,
-                                  scaling, transvection)
+                                  column_clear_moves, moves_matrix,
+                                  random_automorphism, random_form_diagonal,
+                                  random_unit)
 from gclifford.errors import NotExtendableError
+from gclifford.forms import QuadraticForm
 from gclifford.groups import Group, HomMatrix, is_automorphism, make_group
+from gclifford.symplectic import random_symplectic, sequence_image
 from gclifford.verify import random_clifford_circuit, random_quadratic_form
 
 
 def test_transvection_validity():
     g = make_group([4, 2])
-    t = transvection(g, 0, 1, 2)
+    t = moves_matrix(g, [("transvect", 0, 1, 2)])
     assert is_automorphism(t)
     with pytest.raises(ValueError):
-        transvection(g, 0, 1, 1)  # 1 * 2 != 0 mod 4
-
-
-def test_factor_swap():
-    g = make_group([2, 4, 2])
-    s = factor_swap(g, 0, 2)
-    assert is_automorphism(s)
-    assert s.apply(g.element((1, 0, 0))).residues == (0, 0, 1)
-    with pytest.raises(ValueError):
-        factor_swap(g, 0, 1)
+        moves_matrix(g, [("transvect", 0, 1, 1)])  # 1 * 2 != 0 mod 4
 
 
 def test_column_clear_moves_simple():
@@ -39,7 +32,7 @@ def test_column_clear_moves_simple():
     # replay through matrices
     v = g.element((1, 1))
     for mv in moves:
-        v = move_to_hom(g, mv).apply(v)
+        v = moves_matrix(g, [mv]).apply(v)
     assert v.residues == (1, 0)
 
 
@@ -63,7 +56,7 @@ def test_column_clear_random():
             assert vec == [1] + [0] * (g.num_factors - 1)
             u = v
             for mv in moves:
-                u = move_to_hom(g, mv).apply(u)
+                u = moves_matrix(g, [mv]).apply(u)
             assert u == g.generator(0)
 
 
@@ -101,6 +94,15 @@ def test_random_automorphism_is_automorphism():
             assert is_automorphism(random_automorphism(g, rng))
 
 
+def _move_hom(group, i, j, value):
+    """The identity with entry (i, j) set to ``value``: one elementary move
+    written as its own validated ``HomMatrix``."""
+    n = group.num_factors
+    entries = [[int(r == c) for c in range(n)] for r in range(n)]
+    entries[i][j] = value
+    return HomMatrix(group, group, tuple(map(tuple, entries)))
+
+
 def _compose_random_automorphism(group, rng, length=None):
     """The sampler as one validated ``HomMatrix`` composition per move."""
     orders = group.orders
@@ -112,7 +114,7 @@ def _compose_random_automorphism(group, rng, length=None):
             idx = rng.randrange(n)
             q = orders[idx]
             units = [u for u in range(1, q) if gcd(u, q) == 1]
-            out = scaling(group, idx, rng.choice(units)).compose(out)
+            out = _move_hom(group, idx, idx, rng.choice(units)).compose(out)
         else:
             dst = rng.randrange(n)
             src = rng.randrange(n)
@@ -120,7 +122,7 @@ def _compose_random_automorphism(group, rng, length=None):
                 src = rng.randrange(n)
             step = orders[dst] // gcd(orders[dst], orders[src])
             coeff = step * rng.randrange(orders[dst] // step)
-            out = transvection(group, dst, src, coeff).compose(out)
+            out = _move_hom(group, dst, src, coeff).compose(out)
     return out
 
 
@@ -150,6 +152,50 @@ def test_unit_and_diagonal_draws_match_the_listed_choice():
                 assert random_form_diagonal(q, fast) == listed.choice(
                     [a for a in range(2 * q) if a * q % 2 == 0])
             assert fast.getstate() == listed.getstate()
+
+
+def _reference_form_draws(group, rng):
+    """Diagonal then cross coefficients, drawn inline as the samplers did
+    before sharing ``random_form_coefficients``."""
+    n, q = group.num_factors, group.orders
+    diag = tuple(random_form_diagonal(q[i], rng) for i in range(n))
+    cross = tuple(tuple(rng.randrange(gcd(q[i], q[j])) if i < j else 0
+                        for j in range(n)) for i in range(n))
+    return diag, cross
+
+
+def _reference_quadratic_form(group, rng):
+    diag, cross = _reference_form_draws(group, rng)
+    linear = tuple(rng.randrange(q) for q in group.orders)
+    return QuadraticForm(group, diag, cross, linear)
+
+
+def _reference_symplectic(group, rng):
+    gates = []
+    for _ in range(20 * group.num_factors):
+        kind = rng.randrange(3)
+        if kind == 0:
+            gates.append(AutomorphismGate(random_automorphism(group, rng)))
+        elif kind == 1:
+            diag, cross = _reference_form_draws(group, rng)
+            zero = (0,) * group.num_factors
+            gates.append(QuadraticGate(QuadraticForm(group, diag, cross, zero)))
+        else:
+            gates.append(FourierGate(random_automorphism(group, rng)))
+    return sequence_image(gates, group)
+
+
+@pytest.mark.parametrize("orders", [(2,) * 5, (8, 4, 2, 2), (4, 4, 2), (3, 3)])
+def test_form_samplers_keep_their_draws(orders):
+    """Both samplers of form coefficients give the same forms and maps as
+    the inline draws, and leave the generator in the same state."""
+    g = make_group(orders)
+    for seed in range(5):
+        for sample, reference in ((random_quadratic_form, _reference_quadratic_form),
+                                  (random_symplectic, _reference_symplectic)):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            assert sample(g, rng) == reference(g, ref_rng), (orders, seed)
+            assert rng.getstate() == ref_rng.getstate(), (orders, seed)
 
 
 def test_sampling_over_a_large_modulus_lists_nothing():

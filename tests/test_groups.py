@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
 
@@ -9,6 +10,7 @@ from gclifford.errors import GroupMismatchError, NotInvertibleError
 from gclifford.groups import (HomMatrix, _lifted_relation_matrix, canonicalize,
                               hom_is_valid, invert_automorphism, is_automorphism,
                               make_group, parse_group, product_group)
+from gclifford.intmat import smith_normal_form
 
 from test_intmat import solve_linear
 
@@ -105,7 +107,7 @@ def test_hom_identity_zero():
     g = make_group([4, 2])
     a = g.element((3, 1))
     assert HomMatrix.identity(g).apply(a) == a
-    assert HomMatrix.zero(g, g).apply(a).is_zero()
+    assert HomMatrix(g, g, ((0, 0), (0, 0))).apply(a).is_zero()
 
 
 def test_is_automorphism_matches_brute_force():
@@ -177,11 +179,14 @@ def reference_inverse(m: HomMatrix) -> HomMatrix | None:
 
 
 def all_endomorphisms(g):
-    n = g.num_factors
-    rows = [list(itertools.product(range(q), repeat=n)) for q in g.orders]
-    for entries in itertools.product(*rows):
-        if hom_is_valid(g, g, entries):
-            yield HomMatrix(g, g, entries)
+    """Every endomorphism of ``g``: entry (i, j) a multiple of
+    q_i / gcd(q_i, q_j)."""
+    q = g.orders
+    n = len(q)
+    slots = [[q[i] // gcd(q[i], q[j]) * v for v in range(gcd(q[i], q[j]))]
+             for i in range(n) for j in range(n)]
+    for flat in itertools.product(*slots):
+        yield HomMatrix(g, g, tuple(flat[i * n:(i + 1) * n] for i in range(n)))
 
 
 @pytest.mark.parametrize("orders", [(2, 2), (4, 2), (3, 3), (6, 2)])
@@ -234,6 +239,49 @@ def test_invert_runs_one_smith_form_and_memoizes(monkeypatch):
         assert (info.hits, info.misses) == (1, 1)
     finally:
         invert_automorphism.cache_clear()
+
+
+def reference_witness(m: HomMatrix) -> tuple[int, ...] | None:
+    """The kernel witness from a second Smith form: the first integer
+    kernel basis vector of the lifted relation matrix whose element part
+    is nonzero modulo the orders."""
+    n = m.source.num_factors
+    lifted = _lifted_relation_matrix(m)
+    _, s, v = smith_normal_form(lifted)
+    free = [j for j in range(2 * n) if j >= n or s[j][j] == 0]
+    for j in free:
+        cand = m.source.element([v[i][j] for i in range(n)])
+        if not cand.is_zero():
+            return cand.residues
+    return None
+
+
+@pytest.mark.parametrize("orders", [(2, 4), (2, 3), (4, 2, 2)])
+def test_non_automorphism_witness_from_one_smith_form(orders, smith_calls):
+    g = make_group(orders)
+    non_automorphisms = 0
+    for m in all_endomorphisms(g):
+        if brute_force_bijective(m):
+            continue
+        smith_calls[0] = 0
+        with pytest.raises(NotInvertibleError, match="not surjective") as err:
+            invert_automorphism(m)
+        assert smith_calls[0] == 1
+        w = err.value.witness
+        assert w == reference_witness(m), m
+        assert not g.element(w).is_zero() and m.apply(g.element(w)).is_zero()
+        non_automorphisms += 1
+    assert non_automorphisms > 0
+
+
+def test_is_automorphism_on_a_memo_hit_runs_no_smith_form(smith_calls):
+    g = make_group((8, 4, 2))
+    m = random_automorphism(g, random.Random(3))
+    inv = invert_automorphism(m)
+    assert smith_calls[0] == 1
+    assert is_automorphism(HomMatrix(g, g, m.entries))
+    assert smith_calls[0] == 1
+    assert invert_automorphism(m) is inv
 
 
 def test_dual_matrix():

@@ -1,6 +1,6 @@
 import random
 
-from gclifford.intmat import (bezout, ext_gcd, is_identity, kernel_basis,
+from gclifford.intmat import (bezout, ext_gcd, is_identity,
                               mat_mul, smith_normal_form, stab_multiplier)
 from math import gcd
 
@@ -122,17 +122,6 @@ def test_solve_linear_roundtrip():
 def test_solve_linear_unsolvable():
     assert solve_linear([[2]], [1]) is None
     assert solve_linear([[2, 0], [0, 2]], [1, 2]) is None
-
-
-def test_kernel_basis():
-    rng = random.Random(5)
-    for _ in range(100):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        a = _random_matrix(rng, rows, cols, -5, 5)
-        basis = kernel_basis(a)
-        for vec in basis:
-            assert mat_vec(a, vec) == [0] * rows
 
 
 def test_is_identity():

@@ -6,6 +6,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from gclifford import symplectic
 from gclifford.clifford import (FourierGate, PauliGate, QuadraticGate,
                                 gate_tableau, pairing_witness,
                                 sequence_tableau)
@@ -13,7 +14,7 @@ from gclifford.dense import gate_matrix
 from gclifford.elementary import random_automorphism
 from gclifford.errors import (NotExtendableError, NotSymplecticError)
 from gclifford.forms import standard_nondegenerate_form
-from gclifford.groups import HomMatrix, make_group
+from gclifford.groups import HomMatrix, is_automorphism, make_group
 from gclifford.phases import Phase
 from gclifford.symplectic import (SymplecticMap, decompose, decompose_clifford,
                                   doubled_group, extend_to_automorphism,
@@ -22,6 +23,7 @@ from gclifford.symplectic import (SymplecticMap, decompose, decompose_clifford,
                                   split_fourier_iso, tableau_image)
 
 from test_clifford import random_gate, random_quadratic
+from test_groups import all_endomorphisms
 
 
 def beta_residues(orders, u, v) -> Phase:
@@ -134,6 +136,65 @@ def test_is_symplectic_matches_reference_on_random_4x4(orders):
                       for j in range(4)) for i in range(4))))
         verdicts.add(_assert_matches_reference(sig))
     assert verdicts == {True, False}
+
+
+def _reference_is_symplectic(sig):
+    """The rule that also ran a Smith form: an automorphism that preserves
+    the pairing.  The pairing is checked first, so the Smith form runs only
+    on the maps that preserve it, which are the ones it could reject."""
+    return (pairing_witness(sig.group.orders, sig.matrix.entries) is None
+            and is_automorphism(sig.matrix))
+
+
+@pytest.mark.parametrize("orders", [(2,), (3,), (4,), (6,), (2, 3), (2, 2)])
+def test_is_symplectic_matches_the_automorphism_rule_exhaustively(orders):
+    g = make_group(orders)
+    symplectic_count = 0
+    for m in all_endomorphisms(doubled_group(g)):
+        sig = SymplecticMap(g, m)
+        verdict = is_symplectic(sig)
+        assert verdict == _reference_is_symplectic(sig), m
+        symplectic_count += verdict
+    assert symplectic_count > 0
+
+
+@pytest.mark.parametrize("orders", [(2, 4), (4, 2), (8, 4, 2, 2)])
+def test_is_symplectic_matches_the_automorphism_rule_on_samples(orders):
+    """Sampled symplectic maps, and each with one entry moved by the
+    smallest step that keeps it a homomorphism."""
+    rng = random.Random(str(orders))
+    g = make_group(orders)
+    q = doubled_group(g).orders
+    n = len(q)
+    verdicts = set()
+    for _ in range(40):
+        sig = random_symplectic(g, rng, 4)
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows = [list(r) for r in sig.matrix.entries]
+        rows[i][j] += q[i] // gcd(q[i], q[j])
+        changed = SymplecticMap(g, HomMatrix(sig.matrix.source, sig.matrix.target,
+                                             tuple(map(tuple, rows))))
+        for candidate in (sig, changed):
+            verdict = is_symplectic(candidate)
+            assert verdict == _reference_is_symplectic(candidate), candidate.matrix
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_decompose_checks_symplecticity_without_a_smith_form(monkeypatch, smith_calls):
+    inside = []
+
+    def counted(sigma):
+        before = smith_calls[0]
+        verdict = is_symplectic(sigma)
+        inside.append(smith_calls[0] - before)
+        return verdict
+
+    monkeypatch.setattr(symplectic, "is_symplectic", counted)
+    g = make_group((8, 4, 2, 2))
+    sig = random_symplectic(g, random.Random(1))
+    assert sequence_image(decompose(sig), g) == sig
+    assert inside == [0]
 
 
 def test_gate_images_match_tableaux():
